@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"ravenguard/internal/core"
-	"ravenguard/internal/dynamics"
 	"ravenguard/internal/experiment"
 )
 
@@ -73,7 +72,6 @@ func run() error {
 		mergeList = flag.String("merge", "", "merge mode: comma-separated frame files written by -shard workers; merges and renders the campaign")
 		chunk     = flag.Int("chunk", 0, "jobs per streamed frame / dispatched chunk (0 = default); bounds worker memory and re-dispatch granularity")
 		seeds     = flag.Int("seeds", 0, "faultcampaign: override the seed count for scale runs (0 = campaign default)")
-		laneBlock = flag.Int("laneblock", 0, "batch-stepper lane block width (0 = unblocked full-width stages)")
 
 		serve        = flag.Bool("serve", false, "worker mode: serve coordinator-dispatched job ranges (\"lo:hi:attempt\" lines on stdin), one frame per range on stdout")
 		chaosSpec    = flag.String("chaos", "", "seeded control-plane chaos plan enacted by -serve workers (e.g. \"seed=7,crash=0.2,stall=0.1\"); coordinator passes it through")
@@ -86,7 +84,6 @@ func run() error {
 	)
 	flag.Parse()
 	experiment.SetWorkers(*workers)
-	dynamics.SetBatchBlock(*laneBlock)
 
 	opts := shardOpts{exp: *exp, quick: *quick, seed: *seed, seeds: *seeds, chunk: *chunk, workers: *workers}
 	super := superOpts{
@@ -100,7 +97,7 @@ func run() error {
 	case *shardSpec != "":
 		return runShardWorker(opts, *shardSpec)
 	case *shards > 0:
-		return runShardCoordinator(opts, *shards, *laneBlock, super)
+		return runShardCoordinator(opts, *shards, super)
 	case *mergeList != "":
 		return runShardMerge(opts, *mergeList)
 	}

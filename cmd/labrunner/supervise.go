@@ -227,7 +227,7 @@ func resumeJournal(path string, want shard.JournalHeader, merger *shard.Merger[[
 // a killed coordinator restarts with -resume running only the uncovered
 // job ranges. The rendered report is byte-identical to the in-process
 // run regardless of failures, worker count, or how many resumes it took.
-func runShardCoordinator(o shardOpts, count, laneBlock int, so superOpts) error {
+func runShardCoordinator(o shardOpts, count int, so superOpts) error {
 	cs, err := shardableSpec(o)
 	if err != nil {
 		return err
@@ -313,7 +313,6 @@ func runShardCoordinator(o shardOpts, count, laneBlock int, so superOpts) error 
 				"-serve",
 				"-seed", fmt.Sprint(o.seed),
 				"-workers", fmt.Sprint(o.workers),
-				"-laneblock", fmt.Sprint(laneBlock),
 			}
 			if o.quick {
 				argv = append(argv, "-quick")

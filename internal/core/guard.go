@@ -236,16 +236,16 @@ type Guard struct {
 	lastSafeHold int // frames replaced with the safe payload
 	holdCooldown int // remaining cycles of unconditional holding
 
-	// Deferred-prediction seam (the fleet's batched guard sweep). With
+	// Deferred-prediction seam (sim.Lockstep's batched guard sweep). With
 	// deferred set, OnWrite stops at the model-advance step: it parks the
 	// frame on the interposition chain with Hold and latches the
-	// prediction inputs below. The fleet worker then packs every pending
+	// prediction inputs below. The lockstep engine then packs every pending
 	// guard's model into one SoA BatchStepper, advances all lanes in one
 	// fused sweep, and calls AbsorbPrediction to finish each held write.
 	// The pend* fields live only between OnWrite and AbsorbPrediction
 	// within a single control period — never across a tick, so snapshots
 	// (taken between ticks) need not capture them.
-	deferred    bool                          //ravenlint:snapshot-ignore execution-mode wiring set at fleet admission, fixed during a run
+	deferred    bool                          //ravenlint:snapshot-ignore execution-mode wiring set at lockstep admission, fixed during a run
 	pendPredict bool                          //ravenlint:snapshot-ignore transient within one control period
 	pendBuf     []byte                        //ravenlint:snapshot-ignore transient within one control period
 	pendDAC     [usb.NumChannels]int16        //ravenlint:snapshot-ignore transient within one control period
@@ -472,7 +472,7 @@ func (g *Guard) InnovationStats() stats.Summary { return g.innovStats.Summarize(
 // the learned safety envelope. In deferred-prediction mode the
 // model-advance step is batched across sessions instead: the frame parks
 // on the chain (Hold) and AbsorbPrediction finishes the decision after
-// the fleet worker's fused sweep.
+// sim.Lockstep's fused sweep.
 func (g *Guard) OnWrite(buf []byte) interpose.Verdict {
 	dac, tau, teleop, predict := g.beginWrite(buf)
 	if !predict {
@@ -633,13 +633,13 @@ func (g *Guard) finishWrite(buf []byte, dac [usb.NumChannels]int16, prevMotorVel
 // deferred (batched) prediction. With deferral on, OnWrite returns
 // interpose.Hold for every frame that needs a model advance and the
 // owner must drive PredictInto / AbsorbPrediction before resuming the
-// chain — the fleet worker does this once per tick for all its resident
-// sessions. Deferred predictions skip the per-step wall-clock StepTime
+// chain — sim.Lockstep does this once per tick for all its resident
+// rigs. Deferred predictions skip the per-step wall-clock StepTime
 // sample: one fused sweep has no meaningful per-session duration.
 func (g *Guard) SetDeferredPredict(on bool) { g.deferred = on }
 
 // SchemeRK4 reports whether the guard's model integrates with RK4 (true)
-// or explicit Euler (false). The fleet worker batches only scheme-
+// or explicit Euler (false). sim.Lockstep batches only scheme-
 // homogeneous guards into one sweep.
 func (g *Guard) SchemeRK4() bool { return g.rk4 }
 

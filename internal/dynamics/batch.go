@@ -2,40 +2,9 @@ package dynamics
 
 import (
 	"fmt"
-	"sync"
 
 	"ravenguard/internal/kinematics"
 )
-
-// defaultBatchBlock is the lane-block width new batch steppers start with
-// (0 = unblocked full-width stages). Campaign entry points set it once from
-// a flag before any stepping starts.
-var defaultBatchBlock struct {
-	mu sync.Mutex
-	w  int
-}
-
-// SetBatchBlock sets the lane-block width batch steppers are constructed
-// with: the stage-major step loops then process lanes in tiles of w, which
-// bounds the stage working set to the cache instead of streaming every
-// scratch array across the full lane count per stage. w <= 0 restores the
-// unblocked default. Lanes are independent and each lane's operation order
-// is unchanged by tiling, so results are bit-identical at every width.
-func SetBatchBlock(w int) {
-	if w < 0 {
-		w = 0
-	}
-	defaultBatchBlock.mu.Lock()
-	defaultBatchBlock.w = w
-	defaultBatchBlock.mu.Unlock()
-}
-
-// BatchBlock returns the current default lane-block width (0 = unblocked).
-func BatchBlock() int {
-	defaultBatchBlock.mu.Lock()
-	defer defaultBatchBlock.mu.Unlock()
-	return defaultBatchBlock.w
-}
 
 // BatchStepper steps N homogeneous two-mass plants in lockstep through the
 // fused RK4/Euler stages in structure-of-arrays layout: one slice per state
@@ -45,20 +14,17 @@ func BatchBlock() int {
 // branches, same operation order — so a single lane's output is bit-identical
 // to stepping the lane's Stepper directly (pinned by batch_test.go).
 //
-// The intended use is the campaign fan-out phase: all forks of one shared
-// prefix are stepped together, one lane per fork. Lanes are repacked per
-// control tick (forks brake, halt, or finish independently), so filling a
+// Two lockstep uses share it (see sim.Lockstep): robot.LaneSet keeps
+// plants resident in lanes across ticks, and the guard-prediction sweep
+// packs every pending guard model into fresh lanes each tick. Filling a
 // lane copies the per-joint constants and gravity anchors from the lane's
-// own Stepper and reading it back returns the mutated anchors; the copies
-// are a few dozen floats per lane per tick, noise against the 20 RK4
-// sub-steps between repacks.
+// own Stepper and reading it back returns the mutated anchors.
 //
 // All scratch is preallocated at construction: steady-state stepping is
 // 0 allocs/op (guarded by the allocation regression tests).
 type BatchStepper struct {
 	capacity int
 	n        int
-	block    int // lane-block width of the stage loops (0 = full width)
 	joints   [kinematics.NumJoints][]fusedJoint // [joint][lane]
 	tau      [kinematics.NumJoints][]float64    // [joint][lane]
 	x        [StateDim][]float64                // [component][lane]
@@ -68,24 +34,36 @@ type BatchStepper struct {
 	mv2, lv2, mv3, lv3, mv4, lv4               []float64
 }
 
-// NewBatchStepper allocates a batch with room for capacity lanes.
+// NewBatchStepper allocates a batch with room for capacity lanes. Every
+// per-lane array is carved from one of two backing slices, so a stepper
+// costs three allocations however many components it tracks.
 func NewBatchStepper(capacity int) (*BatchStepper, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("dynamics: batch capacity %d must be > 0", capacity)
 	}
-	b := &BatchStepper{capacity: capacity, block: BatchBlock()}
-	for j := 0; j < kinematics.NumJoints; j++ {
-		b.joints[j] = make([]fusedJoint, capacity)
-		b.tau[j] = make([]float64, capacity)
+	b := &BatchStepper{capacity: capacity}
+	joints := make([]fusedJoint, kinematics.NumJoints*capacity)
+	for j := range b.joints {
+		b.joints[j] = joints[j*capacity : (j+1)*capacity : (j+1)*capacity]
 	}
-	for c := 0; c < StateDim; c++ {
-		b.x[c] = make([]float64, capacity)
-	}
-	for _, p := range []*[]float64{
+	stage := []*[]float64{
 		&b.d0, &b.am1, &b.al1, &b.am2, &b.al2, &b.am3, &b.al3, &b.am4, &b.al4,
 		&b.mv2, &b.lv2, &b.mv3, &b.lv3, &b.mv4, &b.lv4,
-	} {
-		*p = make([]float64, capacity)
+	}
+	floats := make([]float64, (len(stage)+len(b.tau)+len(b.x))*capacity)
+	carve := func() []float64 {
+		s := floats[:capacity:capacity]
+		floats = floats[capacity:]
+		return s
+	}
+	for _, p := range stage {
+		*p = carve()
+	}
+	for j := range b.tau {
+		b.tau[j] = carve()
+	}
+	for c := range b.x {
+		b.x[c] = carve()
 	}
 	return b, nil
 }
@@ -104,19 +82,6 @@ func (b *BatchStepper) SetLanes(n int) error {
 	b.n = n
 	return nil
 }
-
-// SetBlock overrides this batch's lane-block width (0 = full width). Lanes
-// are independent, so the width only moves work between cache levels —
-// every width produces the same bits (pinned by batch_test.go).
-func (b *BatchStepper) SetBlock(w int) {
-	if w < 0 {
-		w = 0
-	}
-	b.block = w
-}
-
-// Block returns this batch's lane-block width (0 = full width).
-func (b *BatchStepper) Block() int { return b.block }
 
 // FillLane loads lane of the batch from this kernel: per-joint constants,
 // gravity anchors, and held torque. The lane then steps exactly as this
@@ -234,34 +199,17 @@ func (b *BatchStepper) Component(c int) []float64 { return b.x[c][:b.n] }
 
 // StepEulerAll advances every active lane by one explicit Euler step,
 // replicating Stepper.StepEuler's per-joint operation order per lane.
-// Lanes run in tiles of the configured block width.
 //
 //ravenlint:noalloc
 func (b *BatchStepper) StepEulerAll(dt float64) {
-	w := b.block
-	if w <= 0 || w > b.n {
-		w = b.n
-	}
-	for lo := 0; lo < b.n; lo += w {
-		hi := lo + w
-		if hi > b.n {
-			hi = b.n
-		}
-		b.stepEulerLanes(dt, lo, hi)
-	}
-}
-
-// stepEulerLanes is the Euler kernel over the lane tile [lo, hi).
-//
-//ravenlint:noalloc
-func (b *BatchStepper) stepEulerLanes(dt float64, lo, hi int) {
+	n := b.n
 	for jIdx := 0; jIdx < kinematics.NumJoints; jIdx++ {
-		js := b.joints[jIdx][:hi]
-		tau := b.tau[jIdx][:hi]
+		js := b.joints[jIdx][:n]
+		tau := b.tau[jIdx][:n]
 		base := 4 * jIdx
-		mp, mv := b.x[base][:hi], b.x[base+1][:hi]
-		lp, lv := b.x[base+2][:hi], b.x[base+3][:hi]
-		for l := lo; l < hi; l++ {
+		mp, mv := b.x[base][:n], b.x[base+1][:n]
+		lp, lv := b.x[base+2][:n], b.x[base+3][:n]
+		for l := 0; l < n; l++ {
 			j := &js[l]
 			d0 := j.anchor(lp[l])
 			u := lv[l] * lv[l]
@@ -289,47 +237,26 @@ func (b *BatchStepper) stepEulerLanes(dt float64, lo, hi int) {
 // (anchor, friction band branch, accelG, stage offsets through gravAt), so
 // each lane's result is bit-identical to the scalar kernel's.
 //
-// Lanes run in tiles of the configured block width: at wide fan-outs the
-// five stage sweeps otherwise stream ~20 scratch/state arrays across the
-// full lane count per joint, evicting each stage's inputs before the next
-// stage reads them.
-//
 //ravenlint:noalloc
 func (b *BatchStepper) StepRK4All(dt float64) {
-	w := b.block
-	if w <= 0 || w > b.n {
-		w = b.n
-	}
-	for lo := 0; lo < b.n; lo += w {
-		hi := lo + w
-		if hi > b.n {
-			hi = b.n
-		}
-		b.stepRK4Lanes(dt, lo, hi)
-	}
-}
-
-// stepRK4Lanes is the RK4 kernel over the lane tile [lo, hi).
-//
-//ravenlint:noalloc
-func (b *BatchStepper) stepRK4Lanes(dt float64, lo, hi int) {
+	n := b.n
 	h2, h6 := dt/2, dt/6
 	for jIdx := 0; jIdx < kinematics.NumJoints; jIdx++ {
-		js := b.joints[jIdx][:hi]
-		tau := b.tau[jIdx][:hi]
+		js := b.joints[jIdx][:n]
+		tau := b.tau[jIdx][:n]
 		base := 4 * jIdx
-		mp, mv := b.x[base][:hi], b.x[base+1][:hi]
-		lp, lv := b.x[base+2][:hi], b.x[base+3][:hi]
-		d0 := b.d0[:hi]
-		am1, al1 := b.am1[:hi], b.al1[:hi]
-		am2, al2 := b.am2[:hi], b.al2[:hi]
-		am3, al3 := b.am3[:hi], b.al3[:hi]
-		am4, al4 := b.am4[:hi], b.al4[:hi]
-		mv2, lv2 := b.mv2[:hi], b.lv2[:hi]
-		mv3, lv3 := b.mv3[:hi], b.lv3[:hi]
-		mv4, lv4 := b.mv4[:hi], b.lv4[:hi]
+		mp, mv := b.x[base][:n], b.x[base+1][:n]
+		lp, lv := b.x[base+2][:n], b.x[base+3][:n]
+		d0 := b.d0[:n]
+		am1, al1 := b.am1[:n], b.al1[:n]
+		am2, al2 := b.am2[:n], b.al2[:n]
+		am3, al3 := b.am3[:n], b.al3[:n]
+		am4, al4 := b.am4[:n], b.al4[:n]
+		mv2, lv2 := b.mv2[:n], b.lv2[:n]
+		mv3, lv3 := b.mv3[:n], b.lv3[:n]
+		mv4, lv4 := b.mv4[:n], b.lv4[:n]
 
-		for l := lo; l < hi; l++ {
+		for l := 0; l < n; l++ {
 			j := &js[l]
 			d0[l] = j.anchor(lp[l])
 			u := lv[l] * lv[l]
@@ -342,7 +269,7 @@ func (b *BatchStepper) stepRK4Lanes(dt float64, lo, hi int) {
 			am1[l], al1[l] = j.accelG(tau[l], mp[l], mv[l], lp[l], lv[l], j.gravAt(d0[l])+j.coulomb*fr)
 		}
 
-		for l := lo; l < hi; l++ {
+		for l := 0; l < n; l++ {
 			j := &js[l]
 			mv2[l], lv2[l] = mv[l]+h2*am1[l], lv[l]+h2*al1[l]
 			u := lv2[l] * lv2[l]
@@ -355,7 +282,7 @@ func (b *BatchStepper) stepRK4Lanes(dt float64, lo, hi int) {
 			am2[l], al2[l] = j.accelG(tau[l], mp[l]+h2*mv[l], mv2[l], lp[l]+h2*lv[l], lv2[l], j.gravAt(d0[l]+h2*lv[l])+j.coulomb*fr)
 		}
 
-		for l := lo; l < hi; l++ {
+		for l := 0; l < n; l++ {
 			j := &js[l]
 			mv3[l], lv3[l] = mv[l]+h2*am2[l], lv[l]+h2*al2[l]
 			u := lv3[l] * lv3[l]
@@ -368,7 +295,7 @@ func (b *BatchStepper) stepRK4Lanes(dt float64, lo, hi int) {
 			am3[l], al3[l] = j.accelG(tau[l], mp[l]+h2*mv2[l], mv3[l], lp[l]+h2*lv2[l], lv3[l], j.gravAt(d0[l]+h2*lv2[l])+j.coulomb*fr)
 		}
 
-		for l := lo; l < hi; l++ {
+		for l := 0; l < n; l++ {
 			j := &js[l]
 			mv4[l], lv4[l] = mv[l]+dt*am3[l], lv[l]+dt*al3[l]
 			u := lv4[l] * lv4[l]
@@ -381,7 +308,7 @@ func (b *BatchStepper) stepRK4Lanes(dt float64, lo, hi int) {
 			am4[l], al4[l] = j.accelG(tau[l], mp[l]+dt*mv3[l], mv4[l], lp[l]+dt*lv3[l], lv4[l], j.gravAt(d0[l]+dt*lv3[l])+j.coulomb*fr)
 		}
 
-		for l := lo; l < hi; l++ {
+		for l := 0; l < n; l++ {
 			mp[l] += h6 * (mv[l] + 2*mv2[l] + 2*mv3[l] + mv4[l])
 			lp[l] += h6 * (lv[l] + 2*lv2[l] + 2*lv3[l] + lv4[l])
 			mv[l] += h6 * (am1[l] + 2*am2[l] + 2*am3[l] + am4[l])

@@ -101,79 +101,6 @@ func TestBatchSingleLaneBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchBlockBitIdentical pins the lane-blocking guarantee: stepping
-// with any block width produces the same bits as the unblocked full-width
-// stages, for both schemes (tiling reorders work across independent lanes,
-// never within one).
-func TestBatchBlockBitIdentical(t *testing.T) {
-	const lanes = 11
-	for _, rk4 := range []bool{true, false} {
-		var ref []State
-		for _, block := range []int{0, 1, 2, 3, 5, 16} {
-			batch, err := NewBatchStepper(lanes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch.SetBlock(block)
-			if err := batch.SetLanes(lanes); err != nil {
-				t.Fatal(err)
-			}
-			steppers := make([]*Stepper, lanes)
-			for i := range steppers {
-				steppers[i], err = NewStepper(perturbedParams(int64(20 + i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			rng := rand.New(rand.NewSource(21))
-			xs := make([]State, lanes)
-			for step := 0; step < 1000; step++ {
-				for l := 0; l < lanes; l++ {
-					var tau [3]float64
-					for j := range tau {
-						tau[j] = 0.5 * (2*rng.Float64() - 1)
-					}
-					steppers[l].SetTorque(tau)
-					steppers[l].FillLane(batch, l)
-					batch.SetLaneX(l, &xs[l].X)
-				}
-				batch.StepAll(rk4, 50e-6)
-				for l := 0; l < lanes; l++ {
-					batch.LaneX(l, &xs[l].X)
-					steppers[l].ReadLane(batch, l)
-				}
-			}
-			if ref == nil {
-				ref = xs
-				continue
-			}
-			for l := 0; l < lanes; l++ {
-				if xs[l].X != ref[l].X {
-					t.Fatalf("rk4=%v block=%d: lane %d diverged from unblocked stages", rk4, block, l)
-				}
-			}
-		}
-	}
-}
-
-// TestBatchBlockDefaultPlumbs pins that SetBatchBlock reaches newly
-// constructed steppers.
-func TestBatchBlockDefaultPlumbs(t *testing.T) {
-	SetBatchBlock(7)
-	defer SetBatchBlock(0)
-	b, err := NewBatchStepper(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Block() != 7 {
-		t.Fatalf("batch block = %d, want 7", b.Block())
-	}
-	SetBatchBlock(-3)
-	if BatchBlock() != 0 {
-		t.Fatalf("negative width should reset to 0, got %d", BatchBlock())
-	}
-}
-
 // TestBatchStepperAllocs pins that steady-state batch stepping is
 // allocation-free, matching the single-lane kernel's budget.
 func TestBatchStepperAllocs(t *testing.T) {
@@ -205,12 +132,11 @@ func TestBatchStepperAllocs(t *testing.T) {
 	}
 }
 
-func benchBatch(b *testing.B, lanes, block int) {
+func benchBatch(b *testing.B, lanes int) {
 	batch, err := NewBatchStepper(lanes)
 	if err != nil {
 		b.Fatal(err)
 	}
-	batch.SetBlock(block)
 	if err := batch.SetLanes(lanes); err != nil {
 		b.Fatal(err)
 	}
@@ -235,23 +161,7 @@ func benchBatch(b *testing.B, lanes, block int) {
 func BenchmarkBatchStepRK4(b *testing.B) {
 	for _, lanes := range []int{1, 4, 11} {
 		b.Run(fmt.Sprintf("lanes%d", lanes), func(b *testing.B) {
-			benchBatch(b, lanes, 0)
+			benchBatch(b, lanes)
 		})
-	}
-}
-
-// BenchmarkBatchBlockSweep measures the lane-block widths at the campaign
-// fan-out sizes (11 = fault-campaign kinds, 44 = a full policy matrix,
-// 128 = a wide sweep); the winner per campaign feeds labrunner -laneblock.
-func BenchmarkBatchBlockSweep(b *testing.B) {
-	for _, lanes := range []int{11, 44, 128} {
-		for _, block := range []int{0, 4, 8, 16, 32} {
-			if block >= lanes {
-				continue
-			}
-			b.Run(fmt.Sprintf("lanes%d/block%d", lanes, block), func(b *testing.B) {
-				benchBatch(b, lanes, block)
-			})
-		}
 	}
 }

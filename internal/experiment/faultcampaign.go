@@ -501,7 +501,7 @@ func (c FaultCampaignConfig) campaignRig(plan fault.Plan, pol GuardPolicy, seedI
 }
 
 // campaignFan forks one group's snapshot into a rig per fault kind and
-// steps the cohort in lockstep through the batch stepper. If anything in
+// steps the cohort together on the lockstep tick engine. If anything in
 // the shared cohort panics, it falls back to running each kind's
 // continuation individually so the crash lands on the kind that caused it
 // (legacy per-run semantics).

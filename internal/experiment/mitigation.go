@@ -320,7 +320,7 @@ type MitigationPartial struct {
 // injector writes once it activates — and every injector is still dormant
 // at mitigationPrefixSteps — so each (arm, attack) session head is
 // simulated once, snapshotted, and forked into one rig per value; the
-// forks then step together through the structure-of-arrays batch stepper.
+// forks then step together on the lockstep tick engine (sim.Lockstep).
 func RunMitigationSweep(values []int16, cfg MitigationConfig) ([]MitigationResult, error) {
 	cfg.applyDefaults()
 	p, err := RunMitigationSweepRange(values, cfg, 0, cfg.Attacks)

@@ -4,15 +4,15 @@
 // protected by the dynamic model-based guard — inside one process, at a
 // density of hundreds to thousands of sessions per core.
 //
-// Sessions are sharded round-robin across per-core workers. Each worker
-// keeps its sessions' plants resident in the lanes of one
-// structure-of-arrays stepper (robot.LaneSet) and drives every control
-// period as a single lockstep sweep: all sessions' control halves
-// (sim.Rig.StepControl), one fused batch integration of every unbraked
-// plant, then all bookkeeping halves (sim.Rig.FinishStep) with per-session
-// guard decisions folded into a running digest. Admission and retirement
-// are dynamic — lanes compact by swaps on session exit — and the
-// steady-state tick path is allocation-free.
+// Sessions are sharded round-robin across per-core workers. Each worker is
+// a sim.Lockstep — the same tick engine the campaign fan-outs run on —
+// plus a tick-latency histogram: sessions' plants stay resident in the
+// lanes of one structure-of-arrays stepper, every control period runs all
+// command halves, one fused guard-prediction sweep, all supervision
+// halves, one fused plant integration and all bookkeeping halves, and each
+// step's guard decision folds into the session's running digest.
+// Admission and retirement are dynamic — lanes compact by swaps on session
+// exit — and the steady-state tick path is allocation-free.
 //
 // Determinism: a session run inside a packed fleet produces byte-identical
 // guard verdicts and tip trajectories to the same Spec run alone
@@ -138,6 +138,7 @@ func (sp Spec) BuildWith(script console.Script, traj trajectory.Trajectory) (*Se
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
 		cfg.OnInput = att.Hook()
+		cfg.Stateful = append(cfg.Stateful, att)
 		s.injected = att.Injected
 	case "B":
 		inj, err := inject.NewScenarioB(inject.ScenarioBParams{
@@ -184,9 +185,9 @@ func (s *Session) Ticks() int { return s.ticks }
 // Sum returns the session's running verdict/trajectory digest.
 func (s *Session) Sum() uint64 { return s.dig.Sum() }
 
-// Note folds one completed step into the session digest. The fleet worker
-// calls it after FinishStep; standalone drivers register it as a
-// sim.Observer (exactly one fold per step, never both).
+// Note folds one completed step into the session digest. Worker.Admit
+// registers it as a rig observer; RunStandalone calls it after each Step
+// (exactly one fold per step, never both).
 //
 //ravenlint:noalloc
 func (s *Session) Note(si sim.StepInfo) {

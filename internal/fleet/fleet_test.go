@@ -185,3 +185,65 @@ func TestSpecErrors(t *testing.T) {
 		t.Error("negative StartTick accepted")
 	}
 }
+
+// TestScenarioASnapshotForkMatchesStraightRun pins that a scenario-A
+// session's attack state travels in its rig snapshot: a session forked
+// after pedal-down but before the attack activates, restored into a fresh
+// Build, must strike on the same tick and end with the straight run's
+// digest.
+func TestScenarioASnapshotForkMatchesStraightRun(t *testing.T) {
+	sp := Spec{
+		Seed: 21, TeleopSeconds: 0.6, Attack: "A", Guard: "monitor",
+		AttackMagnitude: 4e-4, AttackDelay: 300, AttackDuration: 64,
+	}
+	orig, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(s *Session) sim.StepInfo {
+		t.Helper()
+		si, err := s.rig.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Note(si)
+		return si
+	}
+	for pedal := 0; pedal < 100; {
+		if orig.rig.Done() {
+			t.Fatal("session ended before 100 pedal-down ticks")
+		}
+		if step(orig).Input.PedalDown {
+			pedal++
+		}
+	}
+	if orig.Injected() != 0 {
+		t.Fatalf("attack already active at the fork (%d inputs injected)", orig.Injected())
+	}
+	snap, err := orig.rig.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fork.rig.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	fork.dig, fork.ticks = orig.dig, orig.ticks
+
+	for !orig.rig.Done() {
+		step(orig)
+	}
+	for !fork.rig.Done() {
+		step(fork)
+	}
+	if orig.Injected() == 0 {
+		t.Fatal("weak fixture: the attack never activated")
+	}
+	if fork.Injected() != orig.Injected() || fork.Ticks() != orig.Ticks() || fork.Sum() != orig.Sum() {
+		t.Fatalf("fork injected=%d ticks=%d digest=%016x, straight injected=%d ticks=%d digest=%016x",
+			fork.Injected(), fork.Ticks(), fork.Sum(), orig.Injected(), orig.Ticks(), orig.Sum())
+	}
+}

@@ -15,9 +15,12 @@ import (
 // gapSession assembles a guarded, attacked session whose feedback stream
 // deterministically drops frames for gapLen cycles starting after cycle
 // gapStart: the guard desynchronises over the gap and must resync on the
-// next good frame. The main spec-driven equivalence fixture cannot express
-// board-level faults, so this builds the rig directly (same package).
-func gapSession(t *testing.T, seed int64, teleop float64, mode core.Mode, gapStart, gapLen int) *Session {
+// next good frame. With stallLen > 0 the board firmware also hangs for
+// stallLen cycles after cycle stallStart, rejecting the command frames the
+// guard passed. The main spec-driven equivalence fixture cannot express
+// board-level faults, so this builds the rig directly (same package). The
+// returned trace records every step's full StepInfo.
+func gapSession(t *testing.T, seed int64, teleop float64, mode core.Mode, gapStart, gapLen, stallStart, stallLen int) (*Session, *[]sim.StepInfo) {
 	t.Helper()
 	g, err := core.NewGuard(core.Config{Thresholds: core.DefaultThresholds(), Mode: mode})
 	if err != nil {
@@ -42,6 +45,7 @@ func gapSession(t *testing.T, seed int64, teleop float64, mode core.Mode, gapSta
 		OnBoard: func(b *usb.Board) {
 			b.SetReadFault(func(frame []byte) []byte {
 				tick++
+				b.SetStalled(stallLen > 0 && tick > stallStart && tick <= stallStart+stallLen)
 				if tick > gapStart && tick <= gapStart+gapLen {
 					return frame[:2] // undecodable length: feedback lost
 				}
@@ -53,15 +57,19 @@ func gapSession(t *testing.T, seed int64, teleop float64, mode core.Mode, gapSta
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Session{Spec: Spec{Seed: seed}, rig: rig, guard: g, injected: inj.Injected, dig: NewDigest()}
+	tr := &[]sim.StepInfo{}
+	rig.Observe(func(si sim.StepInfo) { *tr = append(*tr, si) })
+	return &Session{Spec: Spec{Seed: seed}, rig: rig, guard: g, injected: inj.Injected, dig: NewDigest()}, tr
 }
 
 // TestGuardBatchMatchesScalarAcrossEdges pins the batched guard-prediction
 // path against the scalar in-line path at its edges: feedback gaps with
 // model resync, hold-safe engagement (held-frame rewrites under cooldown),
-// mid-run admission, and post-retirement lane compaction. The scalar
-// reference drives the identical rigs standalone; the worker runs them in
-// deferred-predict mode with the fused sweep. Digests, guard counters and
+// mid-run admission, post-retirement lane compaction, and a board stall
+// that rejects resumed held frames (dropped and counted, as on the in-line
+// path, never fatal to the tick). The scalar reference drives the
+// identical rigs standalone; the worker runs them in deferred-predict mode
+// with the fused sweep. Every step's StepInfo, digests, guard counters and
 // final plant state must match bit-for-bit.
 func TestGuardBatchMatchesScalarAcrossEdges(t *testing.T) {
 	type build struct {
@@ -71,6 +79,8 @@ func TestGuardBatchMatchesScalarAcrossEdges(t *testing.T) {
 		gapAt   int
 		gapLen  int
 		startAt int // worker tick of admission
+		stallAt int
+		stall   int // board-stall cycles (0 = none)
 	}
 	// Varied lengths force retirement (and lane compaction under the
 	// surviving sessions); startAt forces mid-run admission; the gap
@@ -81,13 +91,16 @@ func TestGuardBatchMatchesScalarAcrossEdges(t *testing.T) {
 		{seed: 42, teleop: 0.4, mode: core.ModeMitigate, gapAt: 330, gapLen: 3, startAt: 0},
 		{seed: 43, teleop: 0.55, mode: core.ModeHoldSafe, gapAt: 500, gapLen: 25, startAt: 300},
 		{seed: 44, teleop: 0.45, mode: core.ModeMonitor, gapAt: 360, gapLen: 1, startAt: 700},
+		{seed: 45, teleop: 0.5, mode: core.ModeMonitor, gapAt: 300, gapLen: 2, startAt: 100, stallAt: 1400, stall: 20},
 	}
 
 	// Scalar reference: same construction, driven alone; the guard's
 	// deferred mode is never enabled outside a worker.
 	want := make([]*Session, len(builds))
+	wantTr := make([]*[]sim.StepInfo, len(builds))
 	for i, b := range builds {
-		s := gapSession(t, b.seed, b.teleop, b.mode, b.gapAt, b.gapLen)
+		s, tr := gapSession(t, b.seed, b.teleop, b.mode, b.gapAt, b.gapLen, b.stallAt, b.stall)
+		wantTr[i] = tr
 		for !s.rig.Done() {
 			si, err := s.rig.Step()
 			if err != nil {
@@ -106,6 +119,9 @@ func TestGuardBatchMatchesScalarAcrossEdges(t *testing.T) {
 		if sum.FeedbackDrops == 0 {
 			t.Fatalf("weak fixture: session %d saw no feedback gap", i)
 		}
+		if (sum.BoardStallDrops > 0) != (builds[i].stall > 0) {
+			t.Fatalf("weak fixture: session %d stall drops %d with a %d-cycle stall", i, sum.BoardStallDrops, builds[i].stall)
+		}
 		drops += sum.FeedbackDrops
 		alarms += s.guard.Alarms()
 		mitigated += s.guard.Mitigated()
@@ -120,8 +136,9 @@ func TestGuardBatchMatchesScalarAcrossEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]*Session, len(builds))
+	gotTr := make([]*[]sim.StepInfo, len(builds))
 	for i, b := range builds {
-		got[i] = gapSession(t, b.seed, b.teleop, b.mode, b.gapAt, b.gapLen)
+		got[i], gotTr[i] = gapSession(t, b.seed, b.teleop, b.mode, b.gapAt, b.gapLen, b.stallAt, b.stall)
 	}
 	admitted := 0
 	for tick := 0; ; tick++ {
@@ -145,6 +162,16 @@ func TestGuardBatchMatchesScalarAcrossEdges(t *testing.T) {
 	}
 
 	for i, s := range got {
+		g, w := *gotTr[i], *wantTr[i]
+		if len(g) != len(w) {
+			t.Errorf("session %d: batched ran %d steps, scalar %d", i, len(g), len(w))
+		}
+		for j := 0; j < len(g) && j < len(w); j++ {
+			if g[j] != w[j] {
+				t.Errorf("session %d: StepInfo diverged at step %d (t=%.3f s)", i, j, w[j].T)
+				break
+			}
+		}
 		if s.Sum() != want[i].Sum() {
 			t.Errorf("session %d (mode %v): batched digest %016x, scalar %016x", i, builds[i].mode, s.Sum(), want[i].Sum())
 		}
@@ -158,9 +185,9 @@ func TestGuardBatchMatchesScalarAcrossEdges(t *testing.T) {
 			t.Errorf("session %d: batched alarms=%d mitigated=%d, scalar alarms=%d mitigated=%d",
 				i, s.guard.Alarms(), s.guard.Mitigated(), want[i].guard.Alarms(), want[i].guard.Mitigated())
 		}
-		if s.rig.FaultCounters().FeedbackDrops != want[i].rig.FaultCounters().FeedbackDrops {
-			t.Errorf("session %d: batched dropped %d feedback frames, scalar %d",
-				i, s.rig.FaultCounters().FeedbackDrops, want[i].rig.FaultCounters().FeedbackDrops)
+		if s.rig.FaultCounters() != want[i].rig.FaultCounters() {
+			t.Errorf("session %d: batched fault counters %+v, scalar %+v",
+				i, s.rig.FaultCounters(), want[i].rig.FaultCounters())
 		}
 		if s.rig.Plant().CaptureState() != want[i].rig.Plant().CaptureState() {
 			t.Errorf("session %d: final plant state diverged", i)

@@ -26,7 +26,7 @@ const (
 	// Hold parks the frame at the returning wrapper: Write returns nil
 	// without the frame reaching the wrappers below or the target, and
 	// the chain records where propagation stopped. The caller finishes
-	// the write later with ResumeHeld — the seam the fleet's batched
+	// the write later with ResumeHeld — the seam sim.Lockstep's batched
 	// guard prediction runs in. A held frame is neither counted dropped
 	// nor written twice; Stats after ResumeHeld are identical to a
 	// straight Pass.

@@ -5,8 +5,8 @@ import (
 	"go/types"
 )
 
-// HeldFrameAnalyzer builds the held-frame protocol check. The fleet's
-// batched guard prediction (PR 9) parks a session's command frame on the
+// HeldFrameAnalyzer builds the held-frame protocol check. The lockstep
+// tick engine's batched guard prediction parks a rig's command frame on the
 // interposition chain (interpose.Hold) while its model advance joins a
 // fused sweep; the frame reaches the board only when the driver resumes
 // the chain. The protocol has exactly one safe shape, and this analyzer
@@ -65,7 +65,7 @@ func HeldFrameAnalyzer(match func(importPath string) bool) *Analyzer {
 var seamMethods = []string{"PredictPending", "PredictInto", "AbsorbPrediction"}
 
 // checkDeferredSeams flags types that opt into deferred prediction without
-// implementing the methods the fleet worker drives the seam with.
+// implementing the methods the lockstep engine drives the seam with.
 func checkDeferredSeams(p *Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range p.Files {
@@ -93,7 +93,7 @@ func checkDeferredSeams(p *Package) []Diagnostic {
 // checkHoldReturns flags functions that can return the Hold verdict
 // without belonging to a type that implements the deferred-predict seam:
 // a held frame only ever resumes if the holder exposes the batch seam the
-// fleet worker drives.
+// lockstep engine drives.
 func checkHoldReturns(p *Package, fd *ast.FuncDecl) []Diagnostic {
 	var diags []Diagnostic
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -47,9 +47,10 @@ func MatchDeterministic(importPath string) bool {
 
 // HeldFramePackages are the packages that participate in the
 // interpose.Hold held-frame protocol: the chain itself, the guard that
-// issues Hold verdicts and carries the deferred-predict seam, the fleet
-// worker that drives the batched resume, and the rig whose write path
-// the resumed frame lands on. The heldframe analyzer is scoped to these.
+// returns Hold verdicts and carries the deferred-predict seam, the
+// lockstep engine that runs the batched resume (sim.Lockstep, beside the
+// rig whose write path the resumed frame lands on) and its fleet host.
+// The heldframe analyzer is scoped to these.
 var HeldFramePackages = []string{
 	"internal/interpose",
 	"internal/core",

@@ -8,14 +8,12 @@ import (
 	"ravenguard/internal/usb"
 )
 
-// LaneSet keeps a fleet of plants resident in the lanes of one
-// structure-of-arrays stepper, for workloads where the same plants step
-// together tick after tick (the multi-tenant fleet engine). Where Batch
-// repacks every plant into lanes each control period — the right trade for
-// campaign fan-outs whose membership churns per tick — a LaneSet loads a
-// plant's hot state into its lane once at admission and leaves it there
-// until the plant parks (brakes engage) or retires, eliminating the
-// per-tick copy-in.
+// LaneSet keeps plants resident in the lanes of one structure-of-arrays
+// stepper (see dynamics.BatchStepper) while they step together tick after
+// tick — the plant stage of sim.Lockstep, which drives both the fleet
+// engine's sessions and the campaign fan-outs' forks. A plant's hot state
+// is loaded into its lane when it unparks and stays there until the plant
+// parks (brakes engage) or retires, so steady ticks copy nothing in.
 //
 // Lanes are partitioned into a dense active window [0, Active()) of
 // unbraked plants that the fused stage kernels sweep in lockstep, and a
@@ -26,8 +24,9 @@ import (
 //
 // Each plant's trajectory — state, rng stream, hard stops, cable breakage,
 // wrist servo, local time — is bit-identical to stepping it alone with
-// Plant.Step (pinned by laneset_test.go): residency changes where the
-// state lives between ticks, not what any tick computes.
+// Plant.Step (pinned by laneset_test.go, hard stops and cable snaps
+// included): residency changes where the state lives between ticks, not
+// what any tick computes.
 //
 // A LaneSet is not safe for concurrent use: one worker loop owns it.
 type LaneSet struct {
@@ -219,5 +218,48 @@ func (s *LaneSet) Step(dacs [][usb.NumChannels]int16, dt float64) {
 	// park or retire.
 	for lane := 0; lane < n; lane++ {
 		s.bs.LaneX(lane, &s.plants[lane].state.X)
+	}
+}
+
+// laneHardStops is enforceHardStops applied to one SoA lane: positions
+// clamp at the mechanical stops with an inelastic collision.
+//
+//ravenlint:noalloc
+func laneHardStops(bs *dynamics.BatchStepper, lane int, p *Plant) {
+	for i := 0; i < kinematics.NumJoints; i++ {
+		lp := bs.Component(4*i + 2)
+		lv := bs.Component(4*i + 3)
+		pos := lp[lane]
+		vel := lv[lane]
+		if pos < p.hard.Min[i] {
+			lp[lane] = p.hard.Min[i]
+			if vel < 0 {
+				lv[lane] = 0
+			}
+		} else if pos > p.hard.Max[i] {
+			lp[lane] = p.hard.Max[i]
+			if vel > 0 {
+				lv[lane] = 0
+			}
+		}
+	}
+}
+
+// laneCheckCables is checkCables applied to one SoA lane: a joint whose
+// cable tension exceeds the break limit snaps.
+//
+//ravenlint:noalloc
+func laneCheckCables(bs *dynamics.BatchStepper, lane int, p *Plant) {
+	for i := 0; i < kinematics.NumJoints; i++ {
+		if p.broken[i] {
+			continue
+		}
+		jc := &p.cable[i]
+		stretch := bs.Component(4 * i)[lane]/jc.ratio - bs.Component(4*i + 2)[lane]
+		stretchVel := bs.Component(4*i + 1)[lane]/jc.ratio - bs.Component(4*i + 3)[lane]
+		tension := jc.k*stretch + jc.b*stretchVel
+		if mathAbs(tension) > jc.breakAt {
+			p.broken[i] = true
+		}
 	}
 }

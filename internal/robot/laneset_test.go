@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ravenguard/internal/dynamics"
+	"ravenguard/internal/kinematics"
 	"ravenguard/internal/motor"
 	"ravenguard/internal/usb"
 )
@@ -192,6 +193,67 @@ func retireTenant(t *testing.T, set *LaneSet, byLane []*tenant, tn *tenant) {
 	// shrink; clear it from the mirror.
 	byLane[set.Resident()] = nil
 	tn.lane = -1
+}
+
+// TestLaneSetMatchesScalarAcrossPlantEdges drives resident plants and
+// scalar twins through the plant's edge cases — hard-stop slams, a cable
+// snap at a low break tension, staggered brake release and a mid-run
+// re-brake (park, then unpark) — and requires every plant to be
+// bit-identical at every tick, and in full after retirement.
+func TestLaneSetMatchesScalarAcrossPlantEdges(t *testing.T) {
+	const n, steps = 5, 1200
+	// Low shoulder break tension so at least one lane snaps a cable.
+	breakT := [kinematics.NumJoints]float64{2.0, 6, 60}
+	packed := buildPlants(t, n, breakT)
+	scalar := buildPlants(t, n, breakT)
+
+	set, err := NewLaneSet(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byLane := make([]int, n) // plant index resident in each lane
+	set.OnSwap = func(a, b int) { byLane[a], byLane[b] = byLane[b], byLane[a] }
+	for i, p := range packed {
+		lane, err := set.Admit(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byLane[lane] = i
+	}
+	dacs := make([][usb.NumChannels]int16, n)
+	for step := 0; step < steps; step++ {
+		for i := range packed {
+			braked := step < 10*i || (i == 2 && step >= 600 && step < 700)
+			packed[i].SetBrakes(braked)
+			scalar[i].SetBrakes(braked)
+			scalar[i].Step(driveDACs(i, step), 1e-3)
+		}
+		set.Reconcile()
+		for lane := range dacs {
+			dacs[lane] = driveDACs(byLane[lane], step)
+		}
+		set.Step(dacs, 1e-3)
+		for i := range scalar {
+			assertTrajectoryEqual(t, packed[i], scalar[i], "step")
+		}
+	}
+	for set.Resident() > 0 {
+		if _, err := set.Retire(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range scalar {
+		assertPlantsEqual(t, packed[i], scalar[i], "retired")
+	}
+	snapped := false
+	for _, p := range scalar {
+		if b, _ := p.CableBroken(); b {
+			snapped = true
+		}
+	}
+	if !snapped {
+		t.Fatal("test did not exercise a cable snap; raise the drive or lower BreakTension")
+	}
 }
 
 // TestLaneSetAdmitErrors pins capacity and sub-step homogeneity checks.

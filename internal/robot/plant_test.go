@@ -235,3 +235,117 @@ func TestNewPlantRejectsBadParams(t *testing.T) {
 		t.Fatal("bad params accepted")
 	}
 }
+
+// bitsEqual compares float slices bit-for-bit, so NaN sentinels (the
+// stepper's "not yet anchored" marker) compare equal to themselves.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func checkpointEqual(a, b dynamics.StepperState) bool {
+	return bitsEqual(a.Tau[:], b.Tau[:]) && bitsEqual(a.ALp[:], b.ALp[:]) &&
+		bitsEqual(a.ASin[:], b.ASin[:]) && bitsEqual(a.ACos[:], b.ACos[:])
+}
+
+// driveDACs produces a deterministic, per-plant DAC schedule exciting hard
+// stops and (for low break tensions) cable snaps.
+func driveDACs(plant, step int) [usb.NumChannels]int16 {
+	var dacs [usb.NumChannels]int16
+	switch (plant + step/40) % 3 {
+	case 0:
+		dacs[0] = 22000
+		dacs[1] = -9000
+	case 1:
+		dacs[0] = -28000
+		dacs[2] = 15000
+	default:
+		dacs[1] = 30000
+		dacs[3] = 6000 // wrist channel
+	}
+	return dacs
+}
+
+func buildPlants(t *testing.T, n int, breakTension [kinematics.NumJoints]float64) []*Plant {
+	t.Helper()
+	plants := make([]*Plant, n)
+	for i := range plants {
+		p, err := NewPlant(Config{
+			Params:       dynamics.DefaultParams(),
+			Bank:         motor.DefaultBank(),
+			Seed:         100 + int64(i),
+			BreakTension: breakTension,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plants[i] = p
+	}
+	return plants
+}
+
+// assertPlantsEqual requires got's complete state — integrator internals
+// included — to equal want's bit-for-bit.
+func assertPlantsEqual(t *testing.T, got, want *Plant, label string) {
+	t.Helper()
+	assertTrajectoryEqual(t, got, want, label)
+	if !checkpointEqual(got.model.Checkpoint(), want.model.Checkpoint()) {
+		t.Fatalf("%s: stepper internals diverged", label)
+	}
+}
+
+// assertTrajectoryEqual is assertPlantsEqual without the integrator
+// internals, which a LaneSet keeps in the lane while the plant is resident.
+func assertTrajectoryEqual(t *testing.T, got, want *Plant, label string) {
+	t.Helper()
+	if !bitsEqual(got.state.X[:], want.state.X[:]) {
+		t.Fatalf("%s: state diverged\n got %v\nwant %v", label, got.state.X, want.state.X)
+	}
+	if got.rngSrc.Pos() != want.rngSrc.Pos() {
+		t.Fatalf("%s: rng position diverged: %+v vs %+v", label, got.rngSrc.Pos(), want.rngSrc.Pos())
+	}
+	if got.broken != want.broken {
+		t.Fatalf("%s: broken flags %v vs %v", label, got.broken, want.broken)
+	}
+	if got.t != want.t {
+		t.Fatalf("%s: time %v vs %v", label, got.t, want.t)
+	}
+	if got.wrist.Pos() != want.wrist.Pos() || got.wrist.Vel() != want.wrist.Vel() {
+		t.Fatalf("%s: wrist state diverged", label)
+	}
+}
+
+// TestPlantSnapshotRestore runs a plant to mid-trajectory, captures it,
+// runs on, restores into a plant that took a different path, and requires
+// the fork to replay the original continuation bit-for-bit.
+func TestPlantSnapshotRestore(t *testing.T) {
+	ref := buildPlants(t, 1, [kinematics.NumJoints]float64{})[0]
+	fork := buildPlants(t, 1, [kinematics.NumJoints]float64{})[0]
+	ref.SetBrakes(false)
+	for step := 0; step < 500; step++ {
+		ref.Step(driveDACs(0, step), 1e-3)
+	}
+	snap := ref.CaptureState()
+
+	// Drive the fork plant somewhere else entirely first.
+	fork.SetBrakes(false)
+	for step := 0; step < 137; step++ {
+		fork.Step(driveDACs(1, step), 1e-3)
+	}
+	fork.RestoreState(snap)
+	assertPlantsEqual(t, fork, ref, "post-restore")
+
+	for step := 500; step < 900; step++ {
+		d := driveDACs(0, step)
+		ref.Step(d, 1e-3)
+		fork.Step(d, 1e-3)
+		assertPlantsEqual(t, fork, ref, "continuation")
+	}
+}

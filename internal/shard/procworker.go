@@ -141,3 +141,15 @@ func (w *procWorker) read(out io.Reader) {
 	}
 	w.ev <- ev
 }
+
+// exitDescription renders a worker's exit status for error context: the
+// exit code, or the signal that killed it.
+func exitDescription(ps *os.ProcessState) string {
+	if ps == nil {
+		return "no exit status"
+	}
+	if ws, ok := ps.Sys().(syscall.WaitStatus); ok && ws.Signaled() {
+		return fmt.Sprintf("killed by signal %s", ws.Signal())
+	}
+	return fmt.Sprintf("exit code %d", ps.ExitCode())
+}

@@ -306,33 +306,3 @@ func TestReadFramesTruncatedTail(t *testing.T) {
 		t.Fatalf("newline-less complete frame dropped: %+v", got)
 	}
 }
-
-func TestRunWorkers(t *testing.T) {
-	// Spawn /bin/sh workers that each print one well-formed frame.
-	stats, err := RunWorkers(2, func(i int) []string {
-		frame, _ := json.Marshal(Frame{
-			V: FrameVersion, Campaign: "toy", Shard: i, Shards: 2,
-			Range:   Range{Lo: i * 3, Hi: i*3 + 3},
-			Partial: json.RawMessage(`{"Sum":1}`),
-		})
-		return []string{"/bin/sh", "-c", "echo '" + string(frame) + "'"}
-	}, func(f Frame) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PeakRSSBytes <= 0 {
-		t.Fatalf("peak RSS not measured: %+v", stats)
-	}
-}
-
-func TestRunWorkersPropagatesFailure(t *testing.T) {
-	_, err := RunWorkers(2, func(i int) []string {
-		if i == 1 {
-			return []string{"/bin/sh", "-c", "exit 3"}
-		}
-		return []string{"/bin/sh", "-c", "sleep 0.05"}
-	}, func(f Frame) error { return nil })
-	if err == nil {
-		t.Fatal("worker failure should propagate")
-	}
-}

@@ -187,10 +187,9 @@ var ErrChunkFailed = errors.New("shard: chunk failed deterministically")
 
 // Supervise runs the chunk list to completion across respawnable
 // workers, returning once every chunk's frame has been accepted (or a
-// deterministic failure / OnFrame error aborted the campaign). It is the
-// fault-tolerant counterpart of RunWorkers: worker crashes, hangs,
-// truncated frames and garbage output cost only the affected chunks'
-// re-execution, never the campaign.
+// deterministic failure / OnFrame error aborted the campaign). Worker
+// crashes, hangs, truncated frames and garbage output cost only the
+// affected chunks' re-execution, never the campaign.
 func Supervise(cfg SupervisorConfig) (SupervisorStats, error) {
 	if cfg.Workers < 1 {
 		return SupervisorStats{}, fmt.Errorf("shard: worker count %d must be >= 1", cfg.Workers)

@@ -5,11 +5,31 @@ import (
 
 	"ravenguard/internal/console"
 	"ravenguard/internal/sim"
+	"ravenguard/internal/usb"
 )
 
+// stalledConfig is a guarded rig whose board firmware hangs for 20
+// control cycles mid-teleop: the command frames the guard passes — parked
+// and resumed when the guard predicts in a lockstep sweep — are rejected
+// and counted, never fatal.
+func stalledConfig(t *testing.T, seed int64) sim.Config {
+	t.Helper()
+	cfg := guardedConfig(t, seed)
+	cfg.OnBoard = func(b *usb.Board) {
+		tick := 0
+		b.SetReadFault(func(frame []byte) []byte {
+			tick++
+			b.SetStalled(tick > 3000 && tick <= 3020)
+			return frame
+		})
+	}
+	return cfg
+}
+
 func TestLockstepMatchesSoloRuns(t *testing.T) {
-	// Heterogeneous cohort: different seeds, one guarded, one faulted, and
-	// scripts of different lengths so rigs vacate lanes at different times.
+	// Heterogeneous cohort: different seeds, two guarded (one through a
+	// board stall), one faulted, and scripts of different lengths so rigs
+	// vacate lanes at different times.
 	build := func() ([]*sim.Rig, []*[]sim.StepInfo) {
 		cfgs := []sim.Config{
 			guardedConfig(t, 81),
@@ -17,7 +37,7 @@ func TestLockstepMatchesSoloRuns(t *testing.T) {
 			{Seed: 83, Script: console.StandardScript(5)},
 		}
 		fcfg, _ := faultedConfig(t, 84)
-		cfgs = append(cfgs, fcfg)
+		cfgs = append(cfgs, fcfg, stalledConfig(t, 85))
 		rigs := make([]*sim.Rig, len(cfgs))
 		traces := make([]*[]sim.StepInfo, len(cfgs))
 		for i, cfg := range cfgs {
@@ -30,6 +50,9 @@ func TestLockstepMatchesSoloRuns(t *testing.T) {
 	soloRigs, soloTraces := build()
 	for _, r := range soloRigs {
 		mustRun(t, r, 0)
+	}
+	if n := soloRigs[4].FaultCounters().BoardStallDrops; n != 20 {
+		t.Fatalf("weak fixture: stalled rig dropped %d frames, want 20", n)
 	}
 
 	lockRigs, lockTraces := build()

@@ -6,6 +6,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -154,7 +155,7 @@ type Rig struct {
 	fbBuf usb.Feedback  //ravenlint:snapshot-ignore per-step scratch, fully rewritten each step
 
 	// pending carries the control-phase results of a split step between
-	// StepControl and FinishStep (see RunLockstep).
+	// StepControl and FinishStep (see Lockstep).
 	pending pendingStep //ravenlint:snapshot-ignore intra-step scratch; snapshots are taken at step boundaries
 }
 
@@ -356,11 +357,11 @@ func (r *Rig) Step() (StepInfo, error) {
 
 // StepControl runs the control half of one step — console, transport,
 // feedback read, control cycle, PLC supervision, brake command — up to (but
-// not including) the plant physics. Callers that integrate many rigs'
-// plants together (RunLockstep, the fleet engine) use the split: after
-// StepControl, advance the plant by one control period however you like —
-// Plant.Step, robot.Batch, or a robot.LaneSet lane — then call FinishStep.
-// Step is StepControl + Plant.Step + FinishStep.
+// not including) the plant physics. After StepControl, advance the plant by
+// one control period (Plant.Step, or a robot.LaneSet lane), then call
+// FinishStep. Step is StepControl + Plant.Step + FinishStep; Lockstep
+// drives the finer split, StepCommand and StepSupervise, to batch guard
+// predictions across rigs.
 //
 //ravenlint:noalloc
 func (r *Rig) StepControl() error {
@@ -377,7 +378,8 @@ func (r *Rig) StepControl() error {
 // frame may be left parked (interpose.Hold) — the caller must finish the
 // write with ResumeWrite before StepSupervise, so the PLC supervises the
 // status byte the delivered frame produced, exactly as in the unsplit
-// path. StepControl is StepCommand + StepSupervise.
+// path. StepControl is StepCommand + StepSupervise; Lockstep is the one
+// loop that runs them apart.
 //
 //ravenlint:noalloc
 func (r *Rig) StepCommand() error {
@@ -476,13 +478,24 @@ func (r *Rig) StepSupervise() {
 }
 
 // ResumeWrite finishes a command write a deferred-predict guard parked on
-// the interposition chain (see core.Guard.SetDeferredPredict): the held
-// frame — with any mitigation rewrite applied by AbsorbPrediction —
-// continues to the wrappers below the guard and the board. Callers run it
-// between StepCommand and StepSupervise.
+// the interposition chain (see BatchPredictor): the held frame — with any
+// mitigation rewrite applied by AbsorbPrediction — continues to the
+// wrappers below the guard and the board. Callers run it between
+// StepCommand and StepSupervise. A frame the board rejects (stalled
+// firmware, malformed length) is not an error, exactly as in the in-line
+// write: the board counts the drop and the cycle's output records the
+// frame as unwritten. Only interpose.ErrHeldFrame — nothing was held, a
+// caller bug — is returned.
 //
 //ravenlint:noalloc
-func (r *Rig) ResumeWrite() error { return r.chain.ResumeHeld() }
+func (r *Rig) ResumeWrite() error {
+	err := r.chain.ResumeHeld()
+	if errors.Is(err, interpose.ErrHeldFrame) {
+		return err
+	}
+	r.pending.out.Wrote = err == nil
+	return nil
+}
 
 // FinishStep runs the bookkeeping half of one step, after the plant
 // physics: encoder latch, clock advance, StepInfo assembly, observers. It

@@ -148,14 +148,17 @@ grep "^session [0-9]" "$sharddir/fleet.txt" |
 		}
 	done
 
-# Guard-batch equivalence guard: the worker's fused guard-prediction sweep
-# must stay bit-identical to the scalar in-line path across its edges —
-# feedback gaps with model resync, hold-safe engagement, mid-run
-# admission, post-retirement lane compaction — and a steady-state fleet
-# tick (held-frame resumes included) must stay allocation-free.
+# Guard-batch equivalence guard: the lockstep tick engine's fused
+# guard-prediction sweep must stay bit-identical to the scalar in-line
+# path across its edges — feedback gaps with model resync, hold-safe
+# engagement, mid-run admission, post-retirement lane compaction, and a
+# board stall rejecting resumed held frames — for fleet sessions and for
+# a campaign-style rig cohort alike, and a steady-state fleet tick
+# (held-frame resumes included) must stay allocation-free.
 stage="guard-batch equivalence guard"
 echo "==> guard-batch equivalence guard"
 go test -run 'TestGuardBatchMatchesScalarAcrossEdges' -count 1 ./internal/fleet/
+go test -run 'TestLockstepMatchesSoloRuns' -count 1 ./internal/sim/
 go test -run 'TestFleetTickDoesNotAllocate' -count 1 .
 
 # Allocation-regression guard: steady-state batch stepping must stay at
