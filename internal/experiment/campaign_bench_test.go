@@ -49,6 +49,34 @@ func BenchmarkFaultCampaignStraight(b *testing.B) {
 	}
 }
 
+// Table IV at 16 + 16 trials (about 15% fault-free): one shared head per
+// trial forked into its reference, counterfactual and scored tails,
+// against up to three whole sessions per trial straight.
+func benchTable4Cfg() Table4Config {
+	return Table4Config{RunsA: 16, RunsB: 16, BaseSeed: 1}
+}
+
+func BenchmarkTable4Campaign(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		ResetReferenceCache()
+		if _, err := RunTable4(benchTable4Cfg()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTable4CampaignStraight(b *testing.B) {
+	cfg := benchTable4Cfg()
+	cfg.applyDefaults()
+	trials := append(scenarioATrials(cfg, 0, cfg.RunsA), scenarioBTrials(cfg, 0, cfg.RunsB)...)
+	for i := 0; i < b.N; i++ {
+		ResetReferenceCache()
+		if _, err := runTrialsStraight(trials); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // The mitigation sweep at labrunner's three values, -quick attack count.
 func BenchmarkMitigationSweep(b *testing.B) {
 	values := []int16{12000, 16000, 20000}

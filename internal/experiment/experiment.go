@@ -8,14 +8,18 @@
 // shadow mode — so the adverse physical impact of the attack can be
 // measured as the end-effector's deviation from the reference trajectory,
 // and both detectors (the paper's dynamic-model guard and RAVEN's built-in
-// safety checks) can be scored against that ground truth.
+// safety checks) can be scored against that ground truth. The sessions are
+// the same physics until the attack fires, so a trial simulates that head
+// once and forks the rest (see Trial.Run).
 package experiment
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"ravenguard/internal/console"
+	"ravenguard/internal/control"
 	"ravenguard/internal/core"
 	"ravenguard/internal/inject"
 	"ravenguard/internal/interpose"
@@ -126,12 +130,27 @@ func (tr Trial) trajectory() trajectory.Trajectory {
 	return std[((tr.TrajIdx%len(std))+len(std))%len(std)]
 }
 
+// config is the trial's plain session: seed, script and trajectory, no
+// attack, no guard, RAVEN's checks active.
+func (tr Trial) config() sim.Config {
+	return sim.Config{Seed: tr.Seed, Script: tr.script(), Traj: tr.trajectory()}
+}
+
+// sessionSteps bounds how many steps the trial's session runs (the step
+// clock overshoots the script's end by up to a period, and its rounding
+// by up to one more): the capacity of a whole tip trace.
+func (tr Trial) sessionSteps() int {
+	return int(tr.script().TotalDuration()/control.Period) + 2
+}
+
 // refCache memoises fault-free tip traces keyed by (seed, trajIdx, teleop).
 type refKey struct {
 	seed    int64
 	trajIdx int
 	teleop  float64
 }
+
+func (tr Trial) refKey() refKey { return refKey{tr.Seed, tr.TrajIdx, tr.Teleop} }
 
 type refCache struct {
 	mu sync.Mutex
@@ -140,34 +159,30 @@ type refCache struct {
 
 var _refs = &refCache{m: make(map[refKey][]mathx.Vec3)}
 
+// cachedReference returns the trial's fault-free tip trace if one has been
+// published.
+func (tr Trial) cachedReference() ([]mathx.Vec3, bool) {
+	_refs.mu.Lock()
+	defer _refs.mu.Unlock()
+	trace, ok := _refs.m[tr.refKey()]
+	return trace, ok
+}
+
 // reference returns (computing if needed) the fault-free tip trace for the
 // trial's seed/trajectory/script.
 func (tr Trial) reference() ([]mathx.Vec3, error) {
-	key := refKey{tr.Seed, tr.TrajIdx, tr.Teleop}
-	_refs.mu.Lock()
-	if trace, ok := _refs.m[key]; ok {
-		_refs.mu.Unlock()
+	if trace, ok := tr.cachedReference(); ok {
 		return trace, nil
 	}
-	_refs.mu.Unlock()
-
-	rig, err := sim.New(sim.Config{
-		Seed:   tr.Seed,
-		Script: tr.script(),
-		Traj:   tr.trajectory(),
-	})
+	rig, err := sim.New(tr.config())
 	if err != nil {
 		return nil, fmt.Errorf("experiment: reference: %w", err)
 	}
-	var trace []mathx.Vec3
-	rig.Observe(func(si sim.StepInfo) { trace = append(trace, si.TipTrue) })
-	if _, err := rig.Run(0); err != nil {
+	trace := make([]mathx.Vec3, 0, tr.sessionSteps())
+	if err := runTips(rig, func(p mathx.Vec3) { trace = append(trace, p) }); err != nil {
 		return nil, fmt.Errorf("experiment: reference: %w", err)
 	}
-
-	_refs.mu.Lock()
-	_refs.m[key] = trace
-	_refs.mu.Unlock()
+	storeReference(tr.refKey(), trace)
 	return trace, nil
 }
 
@@ -178,9 +193,9 @@ func ResetReferenceCache() {
 	_refs.mu.Unlock()
 }
 
-// storeReference publishes a fault-free tip trace that a forking campaign
-// assembled as a by-product (prefix tips + forked reference tail), so
-// later trials with the same key skip the reference run entirely.
+// storeReference publishes a fault-free tip trace. Forking runners publish
+// the one they assembled as a by-product (head tips + forked reference
+// tail), so later trials with the same key skip the reference run.
 func storeReference(key refKey, trace []mathx.Vec3) {
 	_refs.mu.Lock()
 	if _, ok := _refs.m[key]; !ok {
@@ -189,14 +204,28 @@ func storeReference(key refKey, trace []mathx.Vec3) {
 	_refs.mu.Unlock()
 }
 
-// installAttack instantiates the trial's attack onto cfg and returns a
-// function reporting how many frames were corrupted. Each call builds
-// fresh (stateful) attack instances, so the counterfactual and scored runs
-// get identical but independent attacks.
-func (tr Trial) installAttack(cfg *sim.Config) (func() int, error) {
+// attack is what a trial needs of an installed attack instance.
+type attack interface {
+	// Injected reports how many frames were corrupted.
+	Injected() int
+	// FramesUntilActive reports how many more triggered frames pass
+	// untouched before the first corrupted one.
+	FramesUntilActive() int
+}
+
+// noAttack is the attack of a fault-free trial: it never fires.
+type noAttack struct{}
+
+func (noAttack) Injected() int          { return 0 }
+func (noAttack) FramesUntilActive() int { return math.MaxInt }
+
+// installAttack instantiates the trial's attack onto cfg. Each call builds
+// a fresh (stateful) attack instance, so the counterfactual and scored
+// runs get identical but independent attacks.
+func (tr Trial) installAttack(cfg *sim.Config) (attack, error) {
 	switch tr.Scenario {
 	case ScenarioNone:
-		return func() int { return 0 }, nil
+		return noAttack{}, nil
 	case ScenarioA:
 		att, err := inject.NewScenarioA(tr.A)
 		if err != nil {
@@ -204,75 +233,189 @@ func (tr Trial) installAttack(cfg *sim.Config) (func() int, error) {
 		}
 		cfg.OnInput = att.Hook()
 		cfg.Stateful = append(cfg.Stateful, att)
-		return att.Injected, nil
+		return att, nil
 	case ScenarioB:
 		inj, err := inject.NewScenarioB(tr.B)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Preload = append(cfg.Preload, inj)
-		return inj.Injected, nil
+		return inj, nil
 	default:
 		return nil, fmt.Errorf("experiment: unknown scenario %d", int(tr.Scenario))
 	}
 }
 
-// counterfactualImpact measures the attack's physical effect with every
-// safety response disabled (no software checks, no guard): the ground
-// truth "adverse impact that would manifest absent mitigation". It returns
-// the peak deviation from the reference and the tick it first crossed the
-// 1 mm criterion (-1 if never).
-func (tr Trial) counterfactualImpact(ref []mathx.Vec3) (float64, int, error) {
-	cfg := sim.Config{
-		Seed:   tr.Seed,
-		Script: tr.script(),
-		Traj:   tr.trajectory(),
+// runTips runs rig to the end of its session, handing every step's true
+// tip to tip.
+func runTips(rig *sim.Rig, tip func(mathx.Vec3)) error {
+	rig.Observe(func(si sim.StepInfo) { tip(si.TipTrue) })
+	_, err := rig.Run(0)
+	return err
+}
+
+// forkTail builds a rig, restores a session head's snapshot into it and
+// runs the rest of the session through runTips. A nil snap means the head
+// ran the whole session, so there is no tail to run.
+func forkTail(snap *sim.Snapshot, build func() (*sim.Rig, error), tip func(mathx.Vec3)) error {
+	if snap == nil {
+		return nil
 	}
+	rig, err := build()
+	if err != nil {
+		return err
+	}
+	if err := rig.Restore(*snap); err != nil {
+		return err
+	}
+	return runTips(rig, tip)
+}
+
+// deviation scores a tip trace against a reference trace step by step:
+// the peak distance and the first step it crossed the 1 mm criterion.
+type deviation struct {
+	ref        []mathx.Vec3
+	max        float64
+	impactTick int
+	step       int
+}
+
+func newDeviation(ref []mathx.Vec3) *deviation { return &deviation{ref: ref, impactTick: -1} }
+
+func (d *deviation) observe(tip mathx.Vec3) {
+	if d.step < len(d.ref) {
+		dist := tip.DistanceTo(d.ref[d.step])
+		if dist > d.max {
+			d.max = dist
+		}
+		if d.impactTick < 0 && dist > AdverseJumpThreshold {
+			d.impactTick = d.step
+		}
+	}
+	d.step++
+}
+
+// counterfactualRig assembles the trial's unprotected session: a fresh
+// attack instance with every safety response disabled (no software checks,
+// no guard).
+func (tr Trial) counterfactualRig() (*sim.Rig, error) {
+	cfg := tr.config()
 	cfg.Control.SafetyChecksOff = true
 	if _, err := tr.installAttack(&cfg); err != nil {
-		return 0, -1, err
+		return nil, err
 	}
-	rig, err := sim.New(cfg)
+	return sim.New(cfg)
+}
+
+// counterfactualImpact measures the attack's physical effect with every
+// safety response disabled: the ground truth "adverse impact that would
+// manifest absent mitigation". It runs the unprotected session from t=0
+// and returns the peak deviation from the reference and the tick it first
+// crossed the 1 mm criterion (-1 if never).
+func (tr Trial) counterfactualImpact(ref []mathx.Vec3) (float64, int, error) {
+	rig, err := tr.counterfactualRig()
 	if err != nil {
 		return 0, -1, err
 	}
-	maxDev, impactTick, step := 0.0, -1, 0
-	rig.Observe(func(si sim.StepInfo) {
-		if step < len(ref) {
-			d := si.TipTrue.DistanceTo(ref[step])
-			if d > maxDev {
-				maxDev = d
-			}
-			if impactTick < 0 && d > AdverseJumpThreshold {
-				impactTick = step
-			}
-		}
-		step++
-	})
-	if _, err := rig.Run(0); err != nil {
+	dev := newDeviation(ref)
+	if err := runTips(rig, dev.observe); err != nil {
 		return 0, -1, err
 	}
-	return maxDev, impactTick, nil
+	return dev.max, dev.impactTick, nil
 }
+
+// forkMargin is how many triggered frames short of the attack's first
+// corrupted frame a trial's shared head stops.
+const forkMargin = 2
 
 // Run executes the trial and scores it: the ground truth comes from the
 // counterfactual (unprotected) run, the detector verdicts from the scored
 // run with RAVEN's checks active and the guard monitoring.
+//
+// The trial's three sessions (the fault-free reference, the counterfactual
+// and the scored run) are the same physics until the attack fires. So one
+// head runs on the scored rig, attack installed but dormant, until the
+// attack is forkMargin frames from activating or the session ends, and is
+// snapshotted there. On a cold reference cache a plain rig forks the
+// reference tail off the snapshot and the assembled trace is published;
+// an unprotected rig forks the counterfactual tail; then the scored rig
+// continues. A fault-free trial is a single run: its head is the whole
+// session. Results are byte-identical to running the three sessions
+// straight through from t=0.
 func (tr Trial) Run() (Result, error) {
-	ref, err := tr.reference()
+	rig, guard, att, err := tr.scoredRig()
 	if err != nil {
 		return Result{}, err
 	}
-
-	var truthDev float64
-	truthTick := -1
-	if tr.Scenario != ScenarioNone {
-		truthDev, truthTick, err = tr.counterfactualImpact(ref)
-		if err != nil {
+	res := Result{AlarmTick: -1, ImpactTick: -1}
+	head := make([]mathx.Vec3, 0, tr.sessionSteps())
+	inHead, step := true, 0
+	rig.Observe(func(si sim.StepInfo) {
+		if res.AlarmTick < 0 && guard.Alarms() > 0 {
+			res.AlarmTick = step
+		}
+		if inHead {
+			head = append(head, si.TipTrue)
+		}
+		step++
+	})
+	for !rig.Done() && att.FramesUntilActive() > forkMargin {
+		if _, err := rig.Step(); err != nil {
 			return Result{}, err
 		}
 	}
+	inHead = false
+	var snap *sim.Snapshot
+	if !rig.Done() {
+		s, err := rig.Snapshot()
+		if err != nil {
+			return Result{}, err
+		}
+		snap = &s
+	}
 
+	ref, cached := tr.cachedReference()
+	if !cached {
+		// The dormant head is the reference's head too: the reference is
+		// the head tips plus a plain rig's tail from the snapshot.
+		ref = head
+		plain := func() (*sim.Rig, error) { return sim.New(tr.config()) }
+		if err := forkTail(snap, plain, func(p mathx.Vec3) { ref = append(ref, p) }); err != nil {
+			return Result{}, fmt.Errorf("experiment: reference: %w", err)
+		}
+		storeReference(tr.refKey(), ref)
+	}
+
+	if tr.Scenario != ScenarioNone {
+		if rig.Controller().SafetyTrips() > 0 || rig.PLC().EStopped() {
+			// The head tripped, which the unprotected session would not
+			// have: it shares no head with the scored run, so runs whole.
+			res.MaxDeviation, res.ImpactTick, err = tr.counterfactualImpact(ref)
+			if err != nil {
+				return Result{}, err
+			}
+		} else {
+			dev := newDeviation(ref)
+			for _, p := range head {
+				dev.observe(p)
+			}
+			if err := forkTail(snap, tr.counterfactualRig, dev.observe); err != nil {
+				return Result{}, err
+			}
+			res.MaxDeviation, res.ImpactTick = dev.max, dev.impactTick
+		}
+	}
+
+	if _, err := rig.Run(0); err != nil {
+		return Result{}, err
+	}
+	res.score(rig, guard, att)
+	return res, nil
+}
+
+// scoredRig assembles the trial's scored session: RAVEN's checks active,
+// the attack installed, the dynamic-model guard watching in shadow mode.
+func (tr Trial) scoredRig() (*sim.Rig, *core.Guard, attack, error) {
 	th := tr.Thresholds
 	if th == (core.Thresholds{}) {
 		th = core.DefaultThresholds()
@@ -285,25 +428,27 @@ func (tr Trial) Run() (Result, error) {
 		Resync:     tr.Resync,
 	})
 	if err != nil {
-		return Result{}, err
+		return nil, nil, nil, err
 	}
-
-	cfg := sim.Config{
-		Seed:   tr.Seed,
-		Script: tr.script(),
-		Traj:   tr.trajectory(),
-	}
-	injectedFrames, err := tr.installAttack(&cfg)
+	cfg := tr.config()
+	att, err := tr.installAttack(&cfg)
 	if err != nil {
-		return Result{}, err
+		return nil, nil, nil, err
 	}
 	if tr.GuardAboveMalware && tr.Scenario == ScenarioB {
 		// Placement ablation: the guard resolves before the malware, so it
-		// checks frames before the attacker mutates them (the TOCTOU gap).
+		// checks frames before the attacker mutates them (the TOCTOU gap),
+		// and taps feedback without being invoked twice per write.
 		cfg.Preload = append([]interpose.Wrapper{guard}, cfg.Preload...)
+		cfg.Guards = append(cfg.Guards, feedbackOnly{guard})
+	} else {
+		cfg.Guards = append(cfg.Guards, guard)
 	}
-
-	return tr.runScored(cfg, guard, ref, truthDev, truthTick, injectedFrames)
+	rig, err := sim.New(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return rig, guard, att, nil
 }
 
 // feedbackOnly adapts a guard that is already preloaded on the write chain
@@ -321,41 +466,15 @@ func (f feedbackOnly) OnWrite([]byte) interpose.Verdict { return interpose.Pass 
 
 func (f feedbackOnly) OnFeedback(fb usb.Feedback, t float64) { f.g.OnFeedback(fb, t) }
 
-func (tr Trial) runScored(cfg sim.Config, guard *core.Guard, ref []mathx.Vec3, truthDev float64, truthTick int, injected func() int) (Result, error) {
-	if !tr.GuardAboveMalware {
-		cfg.Guards = append(cfg.Guards, guard)
-	} else {
-		cfg.Guards = append(cfg.Guards, feedbackOnly{guard})
-	}
-
-	rig, err := sim.New(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-
-	res := Result{
-		AlarmTick:    -1,
-		ImpactTick:   truthTick,
-		MaxDeviation: truthDev,
-		Impact:       truthTick >= 0,
-	}
-	step := 0
-	rig.Observe(func(si sim.StepInfo) {
-		if res.AlarmTick < 0 && guard.Alarms() > 0 {
-			res.AlarmTick = step
-		}
-		step++
-	})
-	if _, err := rig.Run(0); err != nil {
-		return Result{}, err
-	}
-
+// score fills the verdicts of a finished scored run into res, whose ground
+// truth (MaxDeviation, ImpactTick) and AlarmTick are already set.
+func (res *Result) score(rig *sim.Rig, guard *core.Guard, att attack) {
+	res.Impact = res.ImpactTick >= 0
 	res.DynDetected = guard.Alarms() > 0
 	// Preemptive: the alarm fires no later than the impact would have
 	// manifested in the unprotected system.
 	res.DynPreemptive = res.DynDetected && (!res.Impact || (res.AlarmTick >= 0 && res.AlarmTick <= res.ImpactTick))
 	res.RavenDetected = rig.Controller().SafetyTrips() > 0
 	res.Halted = rig.PLC().EStopped() || rig.Controller().State() == statemachine.EStop
-	res.InjectedFrames = injected()
-	return res, nil
+	res.InjectedFrames = att.Injected()
 }

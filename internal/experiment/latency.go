@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"ravenguard/internal/core"
 	"ravenguard/internal/inject"
-	"ravenguard/internal/interpose"
 	"ravenguard/internal/sim"
 	"ravenguard/internal/stats"
 )
@@ -118,31 +116,14 @@ func latencyTrial(tr Trial) (startTick, alarmTick, impactTick int, err error) {
 		return -1, -1, -1, err
 	}
 
-	guard, err := core.NewGuard(core.Config{
-		Thresholds: core.DefaultThresholds(),
-		Mode:       core.ModeMonitor,
-	})
-	if err != nil {
-		return -1, -1, -1, err
-	}
-	inj, err := inject.NewScenarioB(tr.B)
-	if err != nil {
-		return -1, -1, -1, err
-	}
-	rig, err := sim.New(sim.Config{
-		Seed:    tr.Seed,
-		Script:  tr.script(),
-		Traj:    tr.trajectory(),
-		Preload: []interpose.Wrapper{inj},
-		Guards:  []sim.Hook{guard},
-	})
+	rig, guard, att, err := tr.scoredRig()
 	if err != nil {
 		return -1, -1, -1, err
 	}
 	startTick, alarmTick = -1, -1
 	step := 0
 	rig.Observe(func(si sim.StepInfo) {
-		if startTick < 0 && inj.Injected() > 0 {
+		if startTick < 0 && att.Injected() > 0 {
 			startTick = step
 		}
 		if alarmTick < 0 && guard.Alarms() > 0 {

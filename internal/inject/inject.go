@@ -93,6 +93,10 @@ func (a *ScenarioA) Hook() sim.InputHook {
 // Injected reports how many cycles were corrupted.
 func (a *ScenarioA) Injected() int { return a.injected }
 
+// FramesUntilActive reports how many more pedal-down cycles pass untouched
+// before the attack corrupts its first one (0 once it is due).
+func (a *ScenarioA) FramesUntilActive() int { return max(a.params.StartAfterTicks-a.seen, 0) }
+
 // scenarioAState is the attack's mutable state.
 type scenarioAState struct {
 	seen, injected int

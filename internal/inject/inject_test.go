@@ -52,8 +52,12 @@ func TestScenarioAWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	hook := a.Hook()
+	hook(0, &control.Input{}) // pedal up: not a triggered frame
 	touched := 0
 	for i := 0; i < 10; i++ {
+		if want := max(2-i, 0); a.FramesUntilActive() != want {
+			t.Fatalf("FramesUntilActive = %d after %d pedal-down frames, want %d", a.FramesUntilActive(), i, want)
+		}
 		in := control.Input{PedalDown: true}
 		hook(0, &in)
 		if in.Delta.Norm() > 0 {

@@ -161,6 +161,17 @@ go test -run 'TestGuardBatchMatchesScalarAcrossEdges' -count 1 ./internal/fleet/
 go test -run 'TestLockstepMatchesSoloRuns' -count 1 ./internal/sim/
 go test -run 'TestFleetTickDoesNotAllocate' -count 1 .
 
+# Trial-fork equivalence guard: Trial.Run forks every attack trial's
+# reference, counterfactual and scored sessions off one shared session
+# head, and must stay bit-identical per trial to the straight oracle that
+# simulates all three from t=0 — Table IV and Fig 9 trials over cold and
+# warm reference keys, every ablation knob, the fork-point edges, and the
+# reference trace a forked trial publishes to the cache.
+stage="trial-fork equivalence guard"
+echo "==> trial-fork equivalence guard"
+go test -run 'TestTable4ForkedMatchesStraight|TestFig9ForkedMatchesStraight|TestAblationTrialsForkedMatchStraight|TestTrialForkEdgesMatchStraight|TestForkedTrialPublishesReference' \
+	-count 1 ./internal/experiment/
+
 # Allocation-regression guard: steady-state batch stepping must stay at
 # 0 allocs/op (TestBatchStepperAllocs pins it via testing.AllocsPerRun),
 # and the benchmark itself must report 0 under -benchmem.
