@@ -144,11 +144,10 @@ func TestFullSimStepDoesNotAllocate(t *testing.T) {
 }
 
 // TestFleetTickDoesNotAllocate pins the multi-tenant extension of the same
-// property: a fleet worker's steady-state tick — command halves for every
-// resident session, the fused guard-prediction sweep with held-frame
-// resumes, supervision halves, lane reconcile, one fused batch
-// integration, digest folds, latency record — runs without touching the
-// heap. (Admission and retirement may allocate; ticks in between must
+// property: a fleet worker's steady-state tick — control halves for every
+// resident session (in-line guard checks included), lane reconcile, one
+// fused batch integration, digest folds, latency record — runs without
+// touching the heap. (Admission and retirement may allocate; ticks in between must
 // not.)
 func TestFleetTickDoesNotAllocate(t *testing.T) {
 	w, err := fleet.NewWorker(4, nil)
@@ -157,8 +156,8 @@ func TestFleetTickDoesNotAllocate(t *testing.T) {
 	}
 	// Endless sessions (no retirement inside the measured window), mixed:
 	// clean unguarded, clean guarded, attacked + mitigating guard, and an
-	// attacked hold-safe guard (frames held, rewritten and resumed through
-	// the batch seam every teleop tick).
+	// attacked hold-safe guard (frames rewritten in place every teleop
+	// tick of the cooldown).
 	specs := []fleet.Spec{
 		{Seed: 1, TeleopSeconds: 1e9},
 		{Seed: 2, TeleopSeconds: 1e9, Guard: "monitor"},

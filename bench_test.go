@@ -227,8 +227,9 @@ func BenchmarkKinematicsInverse(b *testing.B) {
 }
 
 // BenchmarkDynamicsStep* time the fused kernel — the path the plant and
-// the guard actually run; the *Reference variants keep the original
-// Deriv-closure + Integrator-interface path as the comparison baseline.
+// the guard actually run; the *Reference variants in internal/dynamics
+// keep the original Deriv-closure + Integrator-interface path as the
+// comparison baseline.
 
 func BenchmarkDynamicsStepEuler(b *testing.B) {
 	benchDynamicsStep(b, false)
@@ -250,33 +251,6 @@ func benchDynamicsStep(b *testing.B, rk4 bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step(rk4, &st.X, 1e-3)
-	}
-}
-
-func BenchmarkDynamicsStepEulerReference(b *testing.B) {
-	benchDynamicsStepReference(b, "euler")
-}
-
-func BenchmarkDynamicsStepRK4Reference(b *testing.B) {
-	benchDynamicsStepReference(b, "rk4")
-}
-
-func benchDynamicsStepReference(b *testing.B, scheme string) {
-	b.Helper()
-	model, err := dynamics.NewModel(dynamics.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	integ, err := dynamics.NewIntegrator(scheme, dynamics.StateDim)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var st dynamics.State
-	st.SetJointPos(kinematics.DefaultLimits().Center(), kinematics.DefaultTransmission())
-	model.SetTorque([3]float64{0.01, 0.01, 0.005})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		integ.Step(model.Deriv, 0, st.X[:], 1e-3)
 	}
 }
 

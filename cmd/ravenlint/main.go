@@ -1,5 +1,5 @@
 // Command ravenlint is the repository's custom static-analysis gate. It
-// proves at build time the six invariants the simulation pipeline's
+// proves at build time the five invariants the simulation pipeline's
 // correctness argument leans on:
 //
 //	determinism     no wall clocks, global math/rand, or order-leaking
@@ -9,11 +9,6 @@
 //	                diverge;
 //	noalloc         //ravenlint:noalloc-annotated hot-path functions are
 //	                free of allocating constructs;
-//	heldframe       the interpose.Hold protocol holds shape: parked
-//	                predictions are absorbed and resumed on all
-//	                non-error paths, no write-while-held, no double
-//	                hold, deferral opt-ins implement the full
-//	                PredictInto/AbsorbPrediction seam;
 //	mergepurity     reducers reachable from shard.Merger, stats.Forest,
 //	                and the metrics Merge methods are order-insensitive;
 //	noalloc-escape  `go build -gcflags=-m` evidence that no annotated

@@ -235,23 +235,6 @@ type Guard struct {
 	safeCount    int
 	lastSafeHold int // frames replaced with the safe payload
 	holdCooldown int // remaining cycles of unconditional holding
-
-	// Deferred-prediction seam (sim.Lockstep's batched guard sweep). With
-	// deferred set, OnWrite stops at the model-advance step: it parks the
-	// frame on the interposition chain with Hold and latches the
-	// prediction inputs below. The lockstep engine then packs every pending
-	// guard's model into one SoA BatchStepper, advances all lanes in one
-	// fused sweep, and calls AbsorbPrediction to finish each held write.
-	// The pend* fields live only between OnWrite and AbsorbPrediction
-	// within a single control period — never across a tick, so snapshots
-	// (taken between ticks) need not capture them.
-	deferred    bool                          //ravenlint:snapshot-ignore execution-mode wiring set at lockstep admission, fixed during a run
-	pendPredict bool                          //ravenlint:snapshot-ignore transient within one control period
-	pendBuf     []byte                        //ravenlint:snapshot-ignore transient within one control period
-	pendDAC     [usb.NumChannels]int16        //ravenlint:snapshot-ignore transient within one control period
-	pendTau     [kinematics.NumJoints]float64 //ravenlint:snapshot-ignore transient within one control period
-	pendPrev    [kinematics.NumJoints]float64 //ravenlint:snapshot-ignore transient within one control period
-	pendTeleop  bool                          //ravenlint:snapshot-ignore transient within one control period
 }
 
 // safeRingLen and safeLag size the hold-safe history: the fused alarm's
@@ -467,48 +450,18 @@ func (g *Guard) FeedbackSuspect() bool { return g.fbSuspect }
 // position).
 func (g *Guard) InnovationStats() stats.Summary { return g.innovStats.Summarize() }
 
-// OnWrite implements interpose.Wrapper: estimate the command's physical
-// consequence before it executes, and neutralise it when it would violate
-// the learned safety envelope. In deferred-prediction mode the
-// model-advance step is batched across sessions instead: the frame parks
-// on the chain (Hold) and AbsorbPrediction finishes the decision after
-// sim.Lockstep's fused sweep.
-func (g *Guard) OnWrite(buf []byte) interpose.Verdict {
-	dac, tau, teleop, predict := g.beginWrite(buf)
-	if !predict {
-		return interpose.Pass
-	}
-	if g.deferred {
-		g.pendPredict = true
-		g.pendBuf = buf
-		g.pendDAC = dac
-		g.pendTau = tau
-		g.pendPrev = g.state.MotorVel()
-		g.pendTeleop = teleop
-		return interpose.Hold
-	}
-	prevMotorVel := g.state.MotorVel()
-	start := g.cfg.Clock()
-	g.model.SetTorque(tau)
-	g.model.Step(g.rk4, &g.state.X, predictDT)
-	g.stepTime.Add(float64(g.cfg.Clock() - start))
-	return g.finishWrite(buf, dac, prevMotorVel, teleop)
-}
-
 // predictDT is the one-step-ahead horizon: one control period.
 const predictDT = 1e-3
 
-// beginWrite is the pre-prediction half of OnWrite: decode the frame,
-// gate on machine state and model sync, and convert the DAC payload to
-// torques. predict reports whether a model advance is required; when
-// false the frame passes with no further work (and the model's
-// velocities are frozen if the brakes hold the arm).
+// OnWrite implements interpose.Wrapper: estimate the command's physical
+// consequence before it executes, and neutralise it when it would violate
+// the learned safety envelope.
 //
 //ravenlint:noalloc
-func (g *Guard) beginWrite(buf []byte) (dac [usb.NumChannels]int16, tau [kinematics.NumJoints]float64, teleop, predict bool) {
+func (g *Guard) OnWrite(buf []byte) interpose.Verdict {
 	cmd, err := usb.DecodeCommand(buf)
 	if err != nil {
-		return dac, tau, false, false // not a command frame; nothing to check
+		return interpose.Pass // not a command frame; nothing to check
 	}
 
 	st, ok := statemachine.FromNibble(cmd.StateNibble)
@@ -519,30 +472,29 @@ func (g *Guard) beginWrite(buf []byte) (dac [usb.NumChannels]int16, tau [kinemat
 			g.state.X[4*i+1] = 0
 			g.state.X[4*i+3] = 0
 		}
-		return dac, tau, false, false
+		return interpose.Pass
 	}
 	if !g.synced {
-		return dac, tau, false, false // no feedback yet; cannot estimate
+		return interpose.Pass // no feedback yet; cannot estimate
 	}
 	// During Init the model tracks the homing motion but neither samples
 	// nor alarms: the threat model triggers attacks in Pedal Down (the
 	// only state where the console drives the arm), and homing's fast
 	// sweep would otherwise inflate the learned teleoperation envelope.
-	teleop = st == statemachine.PedalDown
+	teleop := st == statemachine.PedalDown
 
 	// One-step-ahead simulation of the command.
+	var tau [kinematics.NumJoints]float64
 	for i := 0; i < kinematics.NumJoints; i++ {
 		tau[i] = g.cfg.Bank[i].DACToTorque(cmd.DAC[i])
 	}
-	return cmd.DAC, tau, teleop, true
-}
+	prevMotorVel := g.state.MotorVel()
 
-// finishWrite is the post-prediction half of OnWrite: derive the estimate
-// sample from the advanced model state, fuse the alarms, and apply the
-// configured mitigation to the frame. dac is the frame's decoded DAC
-// payload and prevMotorVel the model's motor velocity before the
-// advance. It never drops or holds the frame.
-func (g *Guard) finishWrite(buf []byte, dac [usb.NumChannels]int16, prevMotorVel [kinematics.NumJoints]float64, teleop bool) interpose.Verdict {
+	start := g.cfg.Clock()
+	g.model.SetTorque(tau)
+	g.model.Step(g.rk4, &g.state.X, predictDT)
+	g.stepTime.Add(float64(g.cfg.Clock() - start))
+
 	var est Sample
 	mv := g.state.MotorVel()
 	jv := g.state.JointVel()
@@ -597,7 +549,7 @@ func (g *Guard) finishWrite(buf []byte, dac [usb.NumChannels]int16, prevMotorVel
 		}
 	}
 	if !alarm {
-		g.safeRing[g.safeCount%safeRingLen] = dac
+		g.safeRing[g.safeCount%safeRingLen] = cmd.DAC
 		g.safeCount++
 		return interpose.Pass
 	}
@@ -627,58 +579,6 @@ func (g *Guard) finishWrite(buf []byte, dac [usb.NumChannels]int16, prevMotorVel
 		g.holdCooldown = g.cfg.HoldCooldownTicks
 	}
 	return interpose.Pass
-}
-
-// SetDeferredPredict switches the guard between immediate (scalar) and
-// deferred (batched) prediction. With deferral on, OnWrite returns
-// interpose.Hold for every frame that needs a model advance and the
-// owner must drive PredictInto / AbsorbPrediction before resuming the
-// chain — sim.Lockstep does this once per tick for all its resident
-// rigs. Deferred predictions skip the per-step wall-clock StepTime
-// sample: one fused sweep has no meaningful per-session duration.
-func (g *Guard) SetDeferredPredict(on bool) { g.deferred = on }
-
-// SchemeRK4 reports whether the guard's model integrates with RK4 (true)
-// or explicit Euler (false). sim.Lockstep batches only scheme-
-// homogeneous guards into one sweep.
-func (g *Guard) SchemeRK4() bool { return g.rk4 }
-
-// PredictPending reports whether OnWrite parked a frame this control
-// period and a batched model advance is owed.
-//
-//ravenlint:noalloc
-func (g *Guard) PredictPending() bool { return g.pendPredict }
-
-// PredictInto packs the pending one-step-ahead prediction into lane of
-// bs: the model constants and integrator latches via FillLane, the
-// current model state vector, and the held frame's commanded torques.
-// Must only be called while PredictPending.
-//
-//ravenlint:noalloc
-func (g *Guard) PredictInto(bs *dynamics.BatchStepper, lane int) {
-	g.model.FillLane(bs, lane)
-	bs.SetLaneX(lane, &g.state.X)
-	bs.SetLaneTau(lane, g.pendTau)
-}
-
-// AbsorbPrediction reads the advanced lane back into the model — the
-// state vector plus the integrator's torque and gravity-anchor latches,
-// exactly the writeback FillLane mirrors — and finishes the held write's
-// decision: estimate sample, alarm fusion, and any mitigation rewrite of
-// the parked frame. The caller resumes the interposition chain
-// afterwards (interpose.Chain.ResumeHeld), delivering the possibly
-// rewritten frame to the board. The batched lane advance is bit-identical
-// to the scalar Step the guard would have run, so every downstream
-// decision is too.
-//
-//ravenlint:noalloc
-func (g *Guard) AbsorbPrediction(bs *dynamics.BatchStepper, lane int) {
-	bs.LaneX(lane, &g.state.X)
-	g.model.ReadLane(bs, lane)
-	g.pendPredict = false
-	buf := g.pendBuf
-	g.pendBuf = nil
-	g.finishWrite(buf, g.pendDAC, g.pendPrev, g.pendTeleop)
 }
 
 // State is the guard's complete mutable state, for checkpoint/restore:

@@ -14,11 +14,10 @@ import (
 // branches, same operation order — so a single lane's output is bit-identical
 // to stepping the lane's Stepper directly (pinned by batch_test.go).
 //
-// Two lockstep uses share it (see sim.Lockstep): robot.LaneSet keeps
-// plants resident in lanes across ticks, and the guard-prediction sweep
-// packs every pending guard model into fresh lanes each tick. Filling a
-// lane copies the per-joint constants and gravity anchors from the lane's
-// own Stepper and reading it back returns the mutated anchors.
+// robot.LaneSet keeps plants resident in its lanes across ticks (see
+// sim.Lockstep). Filling a lane copies the per-joint constants and
+// gravity anchors from the lane's own Stepper and reading it back returns
+// the mutated anchors.
 //
 // All scratch is preallocated at construction: steady-state stepping is
 // 0 allocs/op (guarded by the allocation regression tests).

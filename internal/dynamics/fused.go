@@ -94,8 +94,8 @@ func (j *fusedJoint) accelG(tau, mpos, mvel, lpos, lvel, load float64) (am, al f
 }
 
 // friction is the joint's tanh-smoothed Coulomb term at link velocity
-// lvel (see model.go's smoothSign). The step loops spell the same
-// computation out by hand — tanhBand2 branch between tanhPoly and
+// lvel (see smoothSign in reference_test.go). The step loops spell the
+// same computation out by hand — tanhBand2 branch between tanhPoly and
 // tanhTail — because a single function holding both the polynomial and
 // the fallback call exceeds the inline budget; this method is the
 // readable form, used where a few nanoseconds don't matter.
@@ -409,8 +409,8 @@ func (s *Stepper) Step(rk4 bool, x *[StateDim]float64, dt float64) {
 	}
 }
 
-// invSmooth is the reciprocal of the smoothSign tanh band (see model.go);
-// constant arithmetic keeps it exact.
+// invSmooth is the reciprocal of the smoothSign tanh band (see
+// reference_test.go); constant arithmetic keeps it exact.
 const invSmooth = 1 / 0.02
 
 // tanhBand2 is the square of the half-width of fastTanh's polynomial

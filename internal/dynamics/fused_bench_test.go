@@ -22,3 +22,33 @@ func benchFused(b *testing.B, rk4 bool) {
 
 func BenchmarkFusedStepEuler(b *testing.B) { benchFused(b, false) }
 func BenchmarkFusedStepRK4(b *testing.B)   { benchFused(b, true) }
+
+// The *Reference benchmarks step the generic Integrator over the Model's
+// derivative closure (reference_test.go), the baseline the fused kernels
+// are measured against.
+func BenchmarkDynamicsStepEulerReference(b *testing.B) {
+	benchDynamicsStepReference(b, "euler")
+}
+
+func BenchmarkDynamicsStepRK4Reference(b *testing.B) {
+	benchDynamicsStepReference(b, "rk4")
+}
+
+func benchDynamicsStepReference(b *testing.B, scheme string) {
+	b.Helper()
+	model, err := NewModel(DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	integ, err := NewIntegrator(scheme, StateDim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var st State
+	st.SetJointPos(kinematics.DefaultLimits().Center(), kinematics.DefaultTransmission())
+	model.SetTorque([3]float64{0.01, 0.01, 0.005})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		integ.Step(model.Deriv, 0, st.X[:], 1e-3)
+	}
+}

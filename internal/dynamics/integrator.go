@@ -6,10 +6,8 @@
 // (Figure 8).
 package dynamics
 
-import "fmt"
-
-// Human-readable scheme names, shared by the integrators' Name methods
-// and every report/benchmark that matches on them — matching on a copied
+// Human-readable scheme names, shared by the reference integrators' Name
+// methods and every report/benchmark that matches on them — matching on a copied
 // string literal has already caused a benchmark to silently measure
 // nothing.
 const (
@@ -30,107 +28,8 @@ func SchemeName(scheme string) string {
 	return scheme
 }
 
-// ValidScheme reports whether scheme is a configuration name NewIntegrator
-// (and the fused Stepper's callers) accept.
+// ValidScheme reports whether scheme is a configuration name the fused
+// Stepper's callers accept.
 func ValidScheme(scheme string) bool {
 	return scheme == "euler" || scheme == "rk4"
-}
-
-// Deriv computes the time derivative of state x at time t into dx.
-// dx and x always have equal length; implementations must not retain either
-// slice.
-type Deriv func(t float64, x, dx []float64)
-
-// Integrator advances an ODE state by a fixed step.
-type Integrator interface {
-	// Step advances x (in place) from time t by dt using f.
-	Step(f Deriv, t float64, x []float64, dt float64)
-	// Name returns the scheme's human-readable name for reports.
-	Name() string
-}
-
-// Euler is the explicit (forward) Euler scheme: one derivative evaluation
-// per step. The paper found it the best runtime/accuracy trade-off at a
-// 1 ms step for the RAVEN model.
-type Euler struct {
-	scratch []float64
-}
-
-var _ Integrator = (*Euler)(nil)
-
-// NewEuler returns an Euler integrator for states of dimension n.
-func NewEuler(n int) *Euler { return &Euler{scratch: make([]float64, n)} }
-
-// Step advances x in place by one Euler step.
-func (e *Euler) Step(f Deriv, t float64, x []float64, dt float64) {
-	if len(x) != len(e.scratch) {
-		panic(fmt.Sprintf("dynamics: Euler state dim %d, want %d", len(x), len(e.scratch)))
-	}
-	f(t, x, e.scratch)
-	for i := range x {
-		x[i] += dt * e.scratch[i]
-	}
-}
-
-// Name implements Integrator.
-func (e *Euler) Name() string { return EulerName }
-
-// RK4 is the classical 4th-order Runge-Kutta scheme: four derivative
-// evaluations per step, ~3x the cost of Euler but 4th-order accurate.
-type RK4 struct {
-	k1, k2, k3, k4, tmp []float64
-}
-
-var _ Integrator = (*RK4)(nil)
-
-// NewRK4 returns an RK4 integrator for states of dimension n.
-func NewRK4(n int) *RK4 {
-	return &RK4{
-		k1:  make([]float64, n),
-		k2:  make([]float64, n),
-		k3:  make([]float64, n),
-		k4:  make([]float64, n),
-		tmp: make([]float64, n),
-	}
-}
-
-// Step advances x in place by one RK4 step.
-func (r *RK4) Step(f Deriv, t float64, x []float64, dt float64) {
-	n := len(r.k1)
-	if len(x) != n {
-		panic(fmt.Sprintf("dynamics: RK4 state dim %d, want %d", len(x), n))
-	}
-	f(t, x, r.k1)
-	for i := 0; i < n; i++ {
-		r.tmp[i] = x[i] + dt/2*r.k1[i]
-	}
-	f(t+dt/2, r.tmp, r.k2)
-	for i := 0; i < n; i++ {
-		r.tmp[i] = x[i] + dt/2*r.k2[i]
-	}
-	f(t+dt/2, r.tmp, r.k3)
-	for i := 0; i < n; i++ {
-		r.tmp[i] = x[i] + dt*r.k3[i]
-	}
-	f(t+dt, r.tmp, r.k4)
-	for i := 0; i < n; i++ {
-		x[i] += dt / 6 * (r.k1[i] + 2*r.k2[i] + 2*r.k3[i] + r.k4[i])
-	}
-}
-
-// Name implements Integrator.
-func (r *RK4) Name() string { return RK4Name }
-
-// NewIntegrator constructs an integrator by scheme name ("euler" or "rk4")
-// for states of dimension n. Unknown names return an error so configuration
-// typos fail loudly.
-func NewIntegrator(scheme string, n int) (Integrator, error) {
-	switch scheme {
-	case "euler":
-		return NewEuler(n), nil
-	case "rk4":
-		return NewRK4(n), nil
-	default:
-		return nil, fmt.Errorf("dynamics: unknown integrator scheme %q (want \"euler\" or \"rk4\")", scheme)
-	}
 }

@@ -2,7 +2,6 @@ package dynamics
 
 import (
 	"fmt"
-	"math"
 
 	"ravenguard/internal/kinematics"
 )
@@ -174,61 +173,3 @@ func DefaultParams() Params {
 		},
 	}}
 }
-
-// Model evaluates the manipulator ODE for a given torque input. The torque
-// input is held constant across a step (zero-order hold, matching the 1 kHz
-// DAC update of the control loop).
-type Model struct {
-	params Params
-	torque [kinematics.NumJoints]float64 // motor torques, N m, zero-order hold
-}
-
-// NewModel builds a Model, validating the parameters.
-func NewModel(p Params) (*Model, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &Model{params: p}, nil
-}
-
-// Params returns the model constants.
-func (m *Model) Params() Params { return m.params }
-
-// SetTorque fixes the motor torque input (N m per motor) for subsequent
-// derivative evaluations.
-func (m *Model) SetTorque(tau [kinematics.NumJoints]float64) { m.torque = tau }
-
-// Torque returns the currently applied motor torques.
-func (m *Model) Torque() [kinematics.NumJoints]float64 { return m.torque }
-
-// Deriv evaluates the two-mass dynamics:
-//
-//	cable  = K*(mpos/N - lpos) + B*(mvel/N - lvel)
-//	Jm a_m = tau - Bm*mvel - cable/N
-//	Jl a_l = cable - Bl*lvel - coulomb*sign(lvel) - grav(lpos)
-func (m *Model) Deriv(_ float64, x, dx []float64) {
-	for i := 0; i < kinematics.NumJoints; i++ {
-		p := &m.params.Joints[i]
-		mpos, mvel := x[idxMotorPos(i)], x[idxMotorVel(i)]
-		lpos, lvel := x[idxLinkPos(i)], x[idxLinkVel(i)]
-
-		stretch := mpos/p.Ratio - lpos
-		stretchVel := mvel/p.Ratio - lvel
-		cable := p.CableStiffness*stretch + p.CableDamping*stretchVel
-
-		grav := p.GravConst
-		if p.GravSin {
-			grav = p.GravConst * math.Sin(lpos+p.GravPhase)
-		}
-		coulomb := p.Coulomb * smoothSign(lvel)
-
-		dx[idxMotorPos(i)] = mvel
-		dx[idxMotorVel(i)] = (m.torque[i] - p.MotorDamping*mvel - cable/p.Ratio) / p.MotorInertia
-		dx[idxLinkPos(i)] = lvel
-		dx[idxLinkVel(i)] = (cable - p.LinkDamping*lvel - coulomb - grav) / p.LinkInertia
-	}
-}
-
-// smoothSign is a tanh-smoothed signum that keeps the ODE Lipschitz at zero
-// velocity (a hard signum makes fixed-step integrators chatter).
-func smoothSign(v float64) float64 { return math.Tanh(v / 0.02) }

@@ -8,9 +8,9 @@
 // a sim.Lockstep — the same tick engine the campaign fan-outs run on —
 // plus a tick-latency histogram: sessions' plants stay resident in the
 // lanes of one structure-of-arrays stepper, every control period runs all
-// command halves, one fused guard-prediction sweep, all supervision
-// halves, one fused plant integration and all bookkeeping halves, and each
-// step's guard decision folds into the session's running digest.
+// control halves (each guard checks its frame in-line), one fused plant
+// integration and all bookkeeping halves, and each step's guard decision
+// folds into the session's running digest.
 // Admission and retirement are dynamic — lanes compact by swaps on session
 // exit — and the steady-state tick path is allocation-free.
 //

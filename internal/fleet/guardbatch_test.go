@@ -8,6 +8,7 @@ import (
 	"ravenguard/internal/inject"
 	"ravenguard/internal/interpose"
 	"ravenguard/internal/sim"
+	"ravenguard/internal/stats"
 	"ravenguard/internal/trajectory"
 	"ravenguard/internal/usb"
 )
@@ -62,15 +63,17 @@ func gapSession(t *testing.T, seed int64, teleop float64, mode core.Mode, gapSta
 	return &Session{Spec: Spec{Seed: seed}, rig: rig, guard: g, injected: inj.Injected, dig: NewDigest()}, tr
 }
 
-// TestGuardBatchMatchesScalarAcrossEdges pins the batched guard-prediction
-// path against the scalar in-line path at its edges: feedback gaps with
-// model resync, hold-safe engagement (held-frame rewrites under cooldown),
-// mid-run admission, post-retirement lane compaction, and a board stall
-// that rejects resumed held frames (dropped and counted, as on the in-line
-// path, never fatal to the tick). The scalar reference drives the
-// identical rigs standalone; the worker runs them in deferred-predict mode
-// with the fused sweep. Every step's StepInfo, digests, guard counters and
-// final plant state must match bit-for-bit.
+// TestGuardBatchMatchesScalarAcrossEdges pins guarded sessions run on a
+// fleet worker against the same sessions stepped alone with Rig.Step, at
+// the edges of the lockstep engine: feedback gaps with model resync,
+// hold-safe engagement (frame rewrites under cooldown), mid-run admission,
+// post-retirement lane compaction, and a board stall that rejects the
+// frames the guard passed (dropped and counted, never fatal to the tick).
+// Both drivers run the guard through the same in-line OnWrite, so every
+// step's StepInfo, the digests, fault counters, final plant state and the
+// guard's full checkpoint state must match bit-for-bit; only the
+// wall-clock StepTime sums may differ, so StepTime is compared by sample
+// count.
 func TestGuardBatchMatchesScalarAcrossEdges(t *testing.T) {
 	type build struct {
 		seed    int64
@@ -94,8 +97,7 @@ func TestGuardBatchMatchesScalarAcrossEdges(t *testing.T) {
 		{seed: 45, teleop: 0.5, mode: core.ModeMonitor, gapAt: 300, gapLen: 2, startAt: 100, stallAt: 1400, stall: 20},
 	}
 
-	// Scalar reference: same construction, driven alone; the guard's
-	// deferred mode is never enabled outside a worker.
+	// Standalone reference: same construction, driven alone.
 	want := make([]*Session, len(builds))
 	wantTr := make([]*[]sim.StepInfo, len(builds))
 	for i, b := range builds {
@@ -130,7 +132,7 @@ func TestGuardBatchMatchesScalarAcrossEdges(t *testing.T) {
 		t.Fatalf("weak fixture: alarms=%d mitigated=%d — want both non-zero", alarms, mitigated)
 	}
 
-	// Fleet run: one worker, deferred guards, staggered admissions.
+	// Fleet run: one worker, staggered admissions.
 	w, err := NewWorker(len(builds), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +166,7 @@ func TestGuardBatchMatchesScalarAcrossEdges(t *testing.T) {
 	for i, s := range got {
 		g, w := *gotTr[i], *wantTr[i]
 		if len(g) != len(w) {
-			t.Errorf("session %d: batched ran %d steps, scalar %d", i, len(g), len(w))
+			t.Errorf("session %d: fleet ran %d steps, standalone %d", i, len(g), len(w))
 		}
 		for j := 0; j < len(g) && j < len(w); j++ {
 			if g[j] != w[j] {
@@ -173,29 +175,32 @@ func TestGuardBatchMatchesScalarAcrossEdges(t *testing.T) {
 			}
 		}
 		if s.Sum() != want[i].Sum() {
-			t.Errorf("session %d (mode %v): batched digest %016x, scalar %016x", i, builds[i].mode, s.Sum(), want[i].Sum())
+			t.Errorf("session %d (mode %v): fleet digest %016x, standalone %016x", i, builds[i].mode, s.Sum(), want[i].Sum())
 		}
 		if s.Ticks() != want[i].Ticks() {
-			t.Errorf("session %d: batched ran %d ticks, scalar %d", i, s.Ticks(), want[i].Ticks())
+			t.Errorf("session %d: fleet ran %d ticks, standalone %d", i, s.Ticks(), want[i].Ticks())
 		}
 		if s.Injected() != want[i].Injected() {
-			t.Errorf("session %d: batched injected %d, scalar %d", i, s.Injected(), want[i].Injected())
+			t.Errorf("session %d: fleet injected %d, standalone %d", i, s.Injected(), want[i].Injected())
 		}
 		if s.guard.Alarms() != want[i].guard.Alarms() || s.guard.Mitigated() != want[i].guard.Mitigated() {
-			t.Errorf("session %d: batched alarms=%d mitigated=%d, scalar alarms=%d mitigated=%d",
+			t.Errorf("session %d: fleet alarms=%d mitigated=%d, standalone alarms=%d mitigated=%d",
 				i, s.guard.Alarms(), s.guard.Mitigated(), want[i].guard.Alarms(), want[i].guard.Mitigated())
 		}
 		if s.rig.FaultCounters() != want[i].rig.FaultCounters() {
-			t.Errorf("session %d: batched fault counters %+v, scalar %+v",
+			t.Errorf("session %d: fleet fault counters %+v, standalone %+v",
 				i, s.rig.FaultCounters(), want[i].rig.FaultCounters())
 		}
 		if s.rig.Plant().CaptureState() != want[i].rig.Plant().CaptureState() {
 			t.Errorf("session %d: final plant state diverged", i)
 		}
-		// The worker really ran these guards deferred: batch-swept
-		// predictions skip the scalar path's StepTime sampling.
-		if n, wn := s.guard.StepTime().N, want[i].guard.StepTime().N; n != 0 || wn == 0 {
-			t.Errorf("session %d: batched StepTime N=%d scalar N=%d — deferred sweep not exercised", i, n, wn)
+		gs, ws := s.guard.CaptureSnap().(core.State), want[i].guard.CaptureSnap().(core.State)
+		if n, wn := gs.StepTime.Summarize().N, ws.StepTime.Summarize().N; n != wn || wn == 0 {
+			t.Errorf("session %d: fleet guard took %d StepTime samples, standalone %d", i, n, wn)
+		}
+		gs.StepTime, ws.StepTime = stats.Running{}, stats.Running{}
+		if gs != ws {
+			t.Errorf("session %d: fleet guard state diverged from the standalone guard's", i)
 		}
 	}
 }

@@ -28,8 +28,8 @@ func NewWorker(capacity int, clock sim.Clock) (*Worker, error) {
 }
 
 // Admit gives the session a resident lane; it joins the lockstep on the
-// next tick, its guard switched to the batched prediction sweep. The
-// session digest folds every step from then on through a rig observer.
+// next tick. The session digest folds every step from then on through a
+// rig observer.
 func (w *Worker) Admit(s *Session) error {
 	if err := w.ls.Admit(s.rig); err != nil {
 		return err

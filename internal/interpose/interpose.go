@@ -23,14 +23,6 @@ const (
 	Pass Verdict = iota + 1
 	// Drop silently discards the frame; the underlying write never happens.
 	Drop
-	// Hold parks the frame at the returning wrapper: Write returns nil
-	// without the frame reaching the wrappers below or the target, and
-	// the chain records where propagation stopped. The caller finishes
-	// the write later with ResumeHeld — the seam sim.Lockstep's batched
-	// guard prediction runs in. A held frame is neither counted dropped
-	// nor written twice; Stats after ResumeHeld are identical to a
-	// straight Pass.
-	Hold
 )
 
 // Wrapper observes and may mutate one outgoing frame. buf is the frame
@@ -68,12 +60,6 @@ type Chain struct {
 	target   WriterFunc
 	writes   int
 	dropped  int
-
-	// Held-frame latch: set when a wrapper returns Hold, consumed by
-	// ResumeHeld. Per-tick transient, never live across a control period
-	// (the rig resumes every held write within the same step).
-	heldBuf  []byte //ravenlint:snapshot-ignore transient within one control period; nil at every snapshot boundary
-	heldNext int    //ravenlint:snapshot-ignore index of the wrapper below the holder; meaningless while heldBuf is nil
 }
 
 // ErrNoTarget is returned when a chain without a target is written to.
@@ -121,30 +107,18 @@ func (c *Chain) Wrappers() []string {
 	return names
 }
 
-// ErrHeldFrame is returned when a write is attempted while a previous
-// frame is still held, or ResumeHeld is called with nothing held.
-var ErrHeldFrame = errors.New("interpose: held-frame state mismatch")
-
 // Write pushes one frame down the chain. Each wrapper may mutate buf in
-// place, drop it, or hold it for the caller to resume. The frame reaches
-// the target only if every wrapper passes it. A copy is NOT taken: like
-// the real syscall path, everyone sees the same buffer.
+// place or drop it. The frame reaches the target only if every wrapper
+// passes it. A copy is NOT taken: like the real syscall path, everyone
+// sees the same buffer.
 func (c *Chain) Write(buf []byte) error {
 	if c.target == nil {
 		return ErrNoTarget
 	}
-	if c.heldBuf != nil {
-		return ErrHeldFrame
-	}
 	c.writes++
-	for i, w := range c.wrappers {
-		switch w.OnWrite(buf) {
-		case Drop:
+	for _, w := range c.wrappers {
+		if w.OnWrite(buf) == Drop {
 			c.dropped++
-			return nil
-		case Hold:
-			c.heldBuf = buf
-			c.heldNext = i
 			return nil
 		}
 		if rs, ok := w.(Reslicer); ok {
@@ -154,47 +128,6 @@ func (c *Chain) Write(buf []byte) error {
 	// The target's error is returned as-is: wrapping would allocate on
 	// every rejected frame, and fault campaigns reject frames for whole
 	// stall windows. Targets already name themselves in their errors.
-	return c.target(buf)
-}
-
-// HoldPending reports whether a frame is parked awaiting ResumeHeld.
-//
-//ravenlint:noalloc
-func (c *Chain) HoldPending() bool { return c.heldBuf != nil }
-
-// ResumeHeld finishes the write a wrapper parked with Hold, continuing
-// exactly as if the holder had returned Pass: the holder's Reslicer (if
-// any) applies, then the wrappers below it run, then the target. The
-// holder is expected to have finished mutating the buffer — the guard's
-// mitigation rewrites happen in AbsorbPrediction, before the rig resumes
-// the write. Returns ErrHeldFrame when nothing is held.
-//
-//ravenlint:noalloc
-func (c *Chain) ResumeHeld() error {
-	buf := c.heldBuf
-	if buf == nil {
-		return ErrHeldFrame
-	}
-	i := c.heldNext
-	c.heldBuf = nil
-	if rs, ok := c.wrappers[i].(Reslicer); ok {
-		buf = rs.Reslice(buf)
-	}
-	for _, w := range c.wrappers[i+1:] {
-		switch w.OnWrite(buf) {
-		case Drop:
-			c.dropped++
-			return nil
-		case Hold:
-			// A second hold below the first would deadlock the tick;
-			// treat it as a drop so the frame cannot leak.
-			c.dropped++
-			return nil
-		}
-		if rs, ok := w.(Reslicer); ok {
-			buf = rs.Reslice(buf)
-		}
-	}
 	return c.target(buf)
 }
 

@@ -179,75 +179,3 @@ func TestStatsCountWrites(t *testing.T) {
 		t.Fatalf("writes = %d", writes)
 	}
 }
-
-// TestHoldResume pins the held-frame seam: a Hold parks the frame at the
-// holder, ResumeHeld delivers the holder's final buffer mutations to the
-// wrappers below and the target, and the chain stats end up identical to
-// a straight Pass.
-func TestHoldResume(t *testing.T) {
-	var got []byte
-	below := &recorder{name: "below"}
-	holder := &recorder{name: "holder", mutate: func(buf []byte) Verdict { return Hold }}
-	c := NewChain(func(buf []byte) error {
-		got = append([]byte(nil), buf...)
-		return nil
-	})
-	c.Append(holder).Append(below)
-
-	frame := []byte{1, 2, 3}
-	if err := c.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	if got != nil || len(below.seen) != 0 {
-		t.Fatal("held frame must not propagate before ResumeHeld")
-	}
-	if !c.HoldPending() {
-		t.Fatal("HoldPending must report the parked frame")
-	}
-	// A second write while held is a caller bug, not a silent drop.
-	if err := c.Write([]byte{9}); !errors.Is(err, ErrHeldFrame) {
-		t.Fatalf("write while held: err = %v, want ErrHeldFrame", err)
-	}
-	frame[1] = 42 // the holder finishing its mutation before resume
-	if err := c.ResumeHeld(); err != nil {
-		t.Fatal(err)
-	}
-	if c.HoldPending() {
-		t.Fatal("HoldPending must clear after resume")
-	}
-	if len(below.seen) != 1 || below.seen[0][1] != 42 {
-		t.Fatalf("wrapper below saw %v, want the mutated frame", below.seen)
-	}
-	if len(got) != 3 || got[1] != 42 {
-		t.Fatalf("target saw %v, want the mutated frame", got)
-	}
-	// One successful write (the rejected while-held attempt is uncounted).
-	if writes, dropped := c.Stats(); writes != 1 || dropped != 0 {
-		t.Fatalf("stats = %d writes %d dropped; hold+resume must count like a pass", writes, dropped)
-	}
-	if err := c.ResumeHeld(); !errors.Is(err, ErrHeldFrame) {
-		t.Fatalf("resume with nothing held: err = %v, want ErrHeldFrame", err)
-	}
-}
-
-// TestHoldThenDropBelow checks a frame resumed into a dropping wrapper is
-// counted dropped, exactly as the scalar path would.
-func TestHoldThenDropBelow(t *testing.T) {
-	holder := &recorder{name: "holder", mutate: func(buf []byte) Verdict { return Hold }}
-	dropper := &recorder{name: "dropper", mutate: func(buf []byte) Verdict { return Drop }}
-	reached := false
-	c := NewChain(func(buf []byte) error { reached = true; return nil })
-	c.Append(holder).Append(dropper)
-	if err := c.Write([]byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ResumeHeld(); err != nil {
-		t.Fatal(err)
-	}
-	if reached {
-		t.Fatal("dropped frame reached the target")
-	}
-	if _, dropped := c.Stats(); dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
-	}
-}

@@ -111,8 +111,6 @@ func TestSnapshotGolden(t *testing.T) { testGolden(t, "snapfix", "snapshot") }
 
 func TestNoallocGolden(t *testing.T) { testGolden(t, "noallocfix", "noalloc") }
 
-func TestHeldFrameGolden(t *testing.T) { testGolden(t, "heldfix", "heldframe") }
-
 func TestMergePurityGolden(t *testing.T) { testGolden(t, "mergefix", "mergepurity") }
 
 // TestMalformedAnnotations asserts that broken directives surface as
@@ -169,7 +167,7 @@ func TestRepoLintsClean(t *testing.T) {
 // TestAnalyzerSelection covers the -checks flag's parsing surface.
 func TestAnalyzerSelection(t *testing.T) {
 	sel, err := Select("all", true)
-	if err != nil || len(sel.Analyzers) != 5 || !sel.Escape {
+	if err != nil || len(sel.Analyzers) != 4 || !sel.Escape {
 		t.Fatalf("all: got %d analyzers, escape %v, err %v", len(sel.Analyzers), sel.Escape, err)
 	}
 	sel, err = Select("noalloc-escape", false)
@@ -183,8 +181,8 @@ func TestAnalyzerSelection(t *testing.T) {
 	if as[0].Name != CheckDeterminism || as[1].Name != CheckNoalloc {
 		t.Fatalf("subset order: got %s, %s", as[0].Name, as[1].Name)
 	}
-	if as, err := Analyzers("heldframe,mergepurity", nil); err != nil || len(as) != 2 {
-		t.Fatalf("v2 subset: got %d analyzers, err %v", len(as), err)
+	if as, err := Analyzers("snapshot,mergepurity", nil); err != nil || len(as) != 2 {
+		t.Fatalf("pair: got %d analyzers, err %v", len(as), err)
 	}
 	if _, err := Analyzers("nosuch", nil); err == nil {
 		t.Fatal("unknown check accepted")

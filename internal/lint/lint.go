@@ -1,6 +1,6 @@
 // Package lint is ravenlint's engine: a stdlib-only static-analysis
 // framework (go/parser + go/types, driven off `go list -json -export`)
-// with six repo-specific checks that turn this repository's runtime
+// with five repo-specific checks that turn this repository's runtime
 // invariants into build breaks:
 //
 //   - determinism: the deterministic-replay packages must not read wall
@@ -12,10 +12,6 @@
 //   - noalloc: functions annotated `//ravenlint:noalloc` must contain no
 //     allocating constructs — the static complement to the
 //     testing.AllocsPerRun guards;
-//   - heldframe: flow-aware enforcement of the interpose.Hold protocol —
-//     every parked prediction is absorbed and resumed on all non-error
-//     paths, no write-while-held, no double hold, and every deferral
-//     opt-in implements the full PredictInto/AbsorbPrediction seam;
 //   - mergepurity: every reducer reachable from shard.Merger /
 //     stats.Forest / metrics Merge methods is order-insensitive;
 //   - noalloc-escape: evidence for the noalloc annotations — drives
@@ -48,7 +44,6 @@ const (
 	CheckDeterminism   = "determinism"
 	CheckSnapshot      = "snapshot"
 	CheckNoalloc       = "noalloc"
-	CheckHeldFrame     = "heldframe"
 	CheckMergePurity   = "mergepurity"
 	CheckNoallocEscape = "noalloc-escape"
 	// CheckAnnotation reports malformed ravenlint annotations (for
@@ -218,7 +213,7 @@ func findPos(p *Package, d Diagnostic) token.Pos {
 // AllChecks lists every check name in canonical order.
 var AllChecks = []string{
 	CheckDeterminism, CheckSnapshot, CheckNoalloc,
-	CheckHeldFrame, CheckMergePurity, CheckNoallocEscape,
+	CheckMergePurity, CheckNoallocEscape,
 }
 
 // Selection is the outcome of parsing a -checks list: the AST analyzers
@@ -232,20 +227,18 @@ type Selection struct {
 
 // Select parses the comma-separated checks list (empty or "all" selects
 // every check). scoped applies the repository package scopes — the
-// determinism analyzer over the deterministic-replay packages, heldframe
-// over the hold-protocol packages, mergepurity over the reducer
-// packages. Unscoped runs them over every loaded package, which is what
-// the fixture tests want.
+// determinism analyzer over the deterministic-replay packages and
+// mergepurity over the reducer packages. Unscoped runs them over every
+// loaded package, which is what the fixture tests want.
 func Select(checks string, scoped bool) (Selection, error) {
-	var detMatch, hfMatch, mpMatch func(string) bool
+	var detMatch, mpMatch func(string) bool
 	if scoped {
-		detMatch, hfMatch, mpMatch = MatchDeterministic, MatchHeldFrame, MatchReducer
+		detMatch, mpMatch = MatchDeterministic, MatchReducer
 	}
 	all := map[string]*Analyzer{
 		CheckDeterminism: DeterminismAnalyzer(detMatch),
 		CheckSnapshot:    SnapshotAnalyzer(),
 		CheckNoalloc:     NoallocAnalyzer(),
-		CheckHeldFrame:   HeldFrameAnalyzer(hfMatch),
 		CheckMergePurity: MergePurityAnalyzer(mpMatch),
 	}
 	names := AllChecks
@@ -270,9 +263,9 @@ func Select(checks string, scoped bool) (Selection, error) {
 
 // Analyzers returns the AST analyzer set selected by the checks list.
 // match, when non-nil, scopes the package-scoped analyzers (determinism,
-// heldframe, mergepurity) to the import paths it accepts; nil runs them
-// everywhere. Kept for test harnesses that drive one analyzer over one
-// fixture; the CLI uses Select.
+// mergepurity) to the import paths it accepts; nil runs them everywhere.
+// Kept for test harnesses that drive one analyzer over one fixture; the
+// CLI uses Select.
 func Analyzers(checks string, match func(importPath string) bool) ([]*Analyzer, error) {
 	sel, err := Select(checks, false)
 	if err != nil {
@@ -282,7 +275,7 @@ func Analyzers(checks string, match func(importPath string) bool) ([]*Analyzer, 
 		for _, a := range sel.Analyzers {
 			a := a
 			switch a.Name {
-			case CheckDeterminism, CheckHeldFrame, CheckMergePurity:
+			case CheckDeterminism, CheckMergePurity:
 				inner := a.Run
 				a.Run = func(p *Package) []Diagnostic {
 					if !match(p.ImportPath) {

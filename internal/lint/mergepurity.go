@@ -272,6 +272,11 @@ func packageLevelMutable(v *types.Var) bool {
 	return true
 }
 
+var errType = types.Universe.Lookup("error").Type()
+
+// isErrorType reports whether t is the predeclared error interface.
+func isErrorType(t types.Type) bool { return types.Identical(t, errType) }
+
 func isFloat(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0

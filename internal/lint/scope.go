@@ -45,25 +45,6 @@ func MatchDeterministic(importPath string) bool {
 	return matchSuffix(importPath, DeterministicPackages)
 }
 
-// HeldFramePackages are the packages that participate in the
-// interpose.Hold held-frame protocol: the chain itself, the guard that
-// returns Hold verdicts and carries the deferred-predict seam, the
-// lockstep engine that runs the batched resume (sim.Lockstep, beside the
-// rig whose write path the resumed frame lands on) and its fleet host.
-// The heldframe analyzer is scoped to these.
-var HeldFramePackages = []string{
-	"internal/interpose",
-	"internal/core",
-	"internal/fleet",
-	"internal/sim",
-}
-
-// MatchHeldFrame reports whether an import path is one of the
-// held-frame protocol packages.
-func MatchHeldFrame(importPath string) bool {
-	return matchSuffix(importPath, HeldFramePackages)
-}
-
 // ReducerPackages are the packages whose merge schedules the sharded
 // campaign's bit-identity argument leans on: the shard layer's Merger,
 // the stats combine schedule, the metrics aggregates, and the

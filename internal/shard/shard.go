@@ -16,6 +16,8 @@ package shard
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Range is a half-open interval [Lo, Hi) of job indices.
@@ -64,9 +66,14 @@ func Of(n, i, k int) (Range, error) {
 	return Split(n, k)[i], nil
 }
 
-// ParseSpec parses a "i/k" shard specification.
+// ParseSpec parses a "i/k" shard specification. The whole string must be
+// the two integers and the one slash: "1/4/8" or "1/4 " is rejected, not
+// read as shard 1 of 4.
 func ParseSpec(s string) (i, k int, err error) {
-	if _, err := fmt.Sscanf(s, "%d/%d", &i, &k); err != nil {
+	is, ks, ok := strings.Cut(s, "/")
+	i, errI := strconv.Atoi(is)
+	k, errK := strconv.Atoi(ks)
+	if !ok || errI != nil || errK != nil {
 		return 0, 0, fmt.Errorf("shard: bad shard spec %q, want i/n (e.g. 0/4)", s)
 	}
 	if k < 1 || i < 0 || i >= k {

@@ -59,14 +59,35 @@ func TestOfMatchesSplit(t *testing.T) {
 	}
 }
 
+// TestParseSpec pins that a spec parses only when the whole string is
+// i/k: trailing input after either number is an error, not silently
+// ignored.
 func TestParseSpec(t *testing.T) {
-	i, k, err := ParseSpec("2/8")
-	if err != nil || i != 2 || k != 8 {
-		t.Fatalf("ParseSpec(2/8) = %d,%d,%v", i, k, err)
-	}
-	for _, bad := range []string{"", "3", "3/", "/4", "4/4", "-1/4", "a/b"} {
-		if _, _, err := ParseSpec(bad); err == nil {
-			t.Fatalf("ParseSpec(%q) should fail", bad)
+	for _, tc := range []struct {
+		spec string
+		i, k int
+		ok   bool
+	}{
+		{spec: "2/8", i: 2, k: 8, ok: true},
+		{spec: "0/1", i: 0, k: 1, ok: true},
+		{spec: "3/4", i: 3, k: 4, ok: true},
+		{spec: ""},
+		{spec: "3"},
+		{spec: "3/"},
+		{spec: "/4"},
+		{spec: "4/4"},
+		{spec: "-1/4"},
+		{spec: "a/b"},
+		{spec: "1/4/8"},
+		{spec: "1/4junk"},
+		{spec: "1/4 "},
+	} {
+		i, k, err := ParseSpec(tc.spec)
+		if tc.ok && (err != nil || i != tc.i || k != tc.k) {
+			t.Errorf("ParseSpec(%q) = %d, %d, %v; want %d, %d, nil", tc.spec, i, k, err, tc.i, tc.k)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("ParseSpec(%q) = %d, %d, nil; want an error", tc.spec, i, k)
 		}
 	}
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // stalledConfig is a guarded rig whose board firmware hangs for 20
-// control cycles mid-teleop: the command frames the guard passes — parked
-// and resumed when the guard predicts in a lockstep sweep — are rejected
-// and counted, never fatal.
+// control cycles mid-teleop: the command frames the guard passes are
+// rejected and counted, never fatal.
 func stalledConfig(t *testing.T, seed int64) sim.Config {
 	t.Helper()
 	cfg := guardedConfig(t, seed)

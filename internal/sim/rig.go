@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -359,30 +358,11 @@ func (r *Rig) Step() (StepInfo, error) {
 // feedback read, control cycle, PLC supervision, brake command — up to (but
 // not including) the plant physics. After StepControl, advance the plant by
 // one control period (Plant.Step, or a robot.LaneSet lane), then call
-// FinishStep. Step is StepControl + Plant.Step + FinishStep; Lockstep
-// drives the finer split, StepCommand and StepSupervise, to batch guard
-// predictions across rigs.
+// FinishStep. Step is StepControl + Plant.Step + FinishStep; Lockstep runs
+// the split to step many rigs' plants in one fused integration.
 //
 //ravenlint:noalloc
 func (r *Rig) StepControl() error {
-	if err := r.StepCommand(); err != nil {
-		return err
-	}
-	r.StepSupervise()
-	return nil
-}
-
-// StepCommand runs the command phase of the control half: console,
-// transport, feedback read, and the control cycle whose frame goes down
-// the interposition chain. With a deferred-predict guard on the chain the
-// frame may be left parked (interpose.Hold) — the caller must finish the
-// write with ResumeWrite before StepSupervise, so the PLC supervises the
-// status byte the delivered frame produced, exactly as in the unsplit
-// path. StepControl is StepCommand + StepSupervise; Lockstep is the one
-// loop that runs them apart.
-//
-//ravenlint:noalloc
-func (r *Rig) StepCommand() error {
 	const dt = control.Period
 
 	// 1. Console emits this cycle's ITP datagram (externally driven rigs
@@ -458,42 +438,12 @@ func (r *Rig) StepCommand() error {
 	// the interposition chain (malware, then guards, then the board).
 	out := r.ctrl.Tick(*in, *fb, r.plc.EStopped())
 
-	r.pending = pendingStep{out: out, fbDropped: fbDropped}
-	return nil
-}
-
-// StepSupervise runs the supervision phase of the control half: the PLC
-// checks the status byte the board relayed for this cycle's frame and the
-// brakes follow the PLC. Must run after the command frame has reached the
-// board — directly after StepCommand in the scalar path, or after
-// ResumeWrite when a batched guard parked the frame.
-//
-//ravenlint:noalloc
-func (r *Rig) StepSupervise() {
-	const dt = control.Period
 	// 5. PLC supervises the relayed status byte; brakes per PLC.
 	status, have := r.board.StatusByte()
 	r.plc.Tick(status, have, durationFromSeconds(dt))
 	r.plant.SetBrakes(r.plc.BrakesEngaged())
-}
 
-// ResumeWrite finishes a command write a deferred-predict guard parked on
-// the interposition chain (see BatchPredictor): the held frame — with any
-// mitigation rewrite applied by AbsorbPrediction — continues to the
-// wrappers below the guard and the board. Callers run it between
-// StepCommand and StepSupervise. A frame the board rejects (stalled
-// firmware, malformed length) is not an error, exactly as in the in-line
-// write: the board counts the drop and the cycle's output records the
-// frame as unwritten. Only interpose.ErrHeldFrame — nothing was held, a
-// caller bug — is returned.
-//
-//ravenlint:noalloc
-func (r *Rig) ResumeWrite() error {
-	err := r.chain.ResumeHeld()
-	if errors.Is(err, interpose.ErrHeldFrame) {
-		return err
-	}
-	r.pending.out.Wrote = err == nil
+	r.pending = pendingStep{out: out, fbDropped: fbDropped}
 	return nil
 }
 

@@ -13,10 +13,11 @@ stage="(startup)"
 sharddir=""
 trap 'status=$?; if [ -n "$sharddir" ]; then rm -rf "$sharddir"; fi; if [ "$status" -ne 0 ]; then echo "FAIL at stage: $stage (exit $status)" >&2; fi' EXIT
 
-# Cheap, attributable gates first: compile, vet, then the full ravenlint
-# v2 suite (all six checks — determinism, snapshot, noalloc, heldframe,
-# mergepurity, noalloc-escape) and its own fixture self-test, so a lint
-# regression reports in seconds instead of after the ~12 min race stage.
+# Cheap, attributable gates first: compile, vet, the perfbench module
+# build, then the full ravenlint v2 suite (all five checks — determinism,
+# snapshot, noalloc, mergepurity, noalloc-escape) and its own fixture
+# self-test, so a lint regression reports in seconds instead of after the
+# ~12 min race stage.
 stage="go build"
 echo "==> go build ./..."
 go build ./...
@@ -25,7 +26,14 @@ stage="go vet"
 echo "==> go vet ./..."
 go vet ./...
 
-stage="ravenlint (all six checks)"
+# perfbench/ is a nested module outside ./..., so the gates above never
+# compile it; vet and test it on its own so an API it calls cannot break
+# unnoticed.
+stage="perfbench build"
+echo "==> (cd perfbench && go vet ./... && go test ./...)"
+(cd perfbench && go vet ./... && go test -count 1 ./...)
+
+stage="ravenlint (all five checks)"
 echo "==> go run ./cmd/ravenlint ./..."
 go run ./cmd/ravenlint ./...
 
@@ -148,15 +156,15 @@ grep "^session [0-9]" "$sharddir/fleet.txt" |
 		}
 	done
 
-# Guard-batch equivalence guard: the lockstep tick engine's fused
-# guard-prediction sweep must stay bit-identical to the scalar in-line
-# path across its edges — feedback gaps with model resync, hold-safe
-# engagement, mid-run admission, post-retirement lane compaction, and a
-# board stall rejecting resumed held frames — for fleet sessions and for
-# a campaign-style rig cohort alike, and a steady-state fleet tick
-# (held-frame resumes included) must stay allocation-free.
-stage="guard-batch equivalence guard"
-echo "==> guard-batch equivalence guard"
+# Lockstep equivalence guard: rigs ticked on the lockstep engine must
+# stay bit-identical to the same rigs stepped alone — fleet sessions
+# (guard checkpoint state included) across feedback gaps with model
+# resync, hold-safe engagement, mid-run admission, post-retirement lane
+# compaction and a board stall rejecting the frames the guard passed, and
+# a campaign-style rig cohort alike — and a steady-state fleet tick must
+# stay allocation-free.
+stage="lockstep equivalence guard"
+echo "==> lockstep equivalence guard"
 go test -run 'TestGuardBatchMatchesScalarAcrossEdges' -count 1 ./internal/fleet/
 go test -run 'TestLockstepMatchesSoloRuns' -count 1 ./internal/sim/
 go test -run 'TestFleetTickDoesNotAllocate' -count 1 .
