@@ -215,7 +215,6 @@ type Guard struct {
 	kalman      [kinematics.NumJoints]*estimator.Kalman
 	innovStreak int
 	fbSuspect   bool
-	innovStats  stats.Running
 
 	gapPending   bool // a feedback frame was lost since the last good one
 	feedbackGaps int
@@ -383,7 +382,6 @@ func (g *Guard) OnFeedback(fb usb.Feedback, _ float64) {
 	// stream and the model disagree far beyond model error — either the
 	// model diverged or the feedback is being tampered with on the read
 	// path (Table I). The flag is advisory; consumers decide the response.
-	g.innovStats.Add(worstInnov)
 	if worstInnov > g.cfg.InnovationLimit {
 		g.innovStreak++
 		if g.innovStreak >= g.cfg.InnovationRun {
@@ -445,10 +443,6 @@ func (g *Guard) FeedbackGaps() int { return g.feedbackGaps }
 // encoder stream as inconsistent with the model (possible read-path
 // tampering).
 func (g *Guard) FeedbackSuspect() bool { return g.fbSuspect }
-
-// InnovationStats returns the residual statistics (radians of motor
-// position).
-func (g *Guard) InnovationStats() stats.Summary { return g.innovStats.Summarize() }
 
 // predictDT is the one-step-ahead horizon: one control period.
 const predictDT = 1e-3
@@ -598,7 +592,6 @@ type State struct {
 	Kalman      [kinematics.NumJoints]estimator.Kalman
 	InnovStreak int
 	FbSuspect   bool
-	InnovStats  stats.Running
 
 	GapPending   bool
 	FeedbackGaps int
@@ -627,7 +620,6 @@ func (g *Guard) CaptureSnap() any {
 
 		InnovStreak: g.innovStreak,
 		FbSuspect:   g.fbSuspect,
-		InnovStats:  g.innovStats,
 
 		GapPending:   g.gapPending,
 		FeedbackGaps: g.feedbackGaps,
@@ -671,7 +663,6 @@ func (g *Guard) RestoreSnap(st any) error {
 	}
 	g.innovStreak = s.InnovStreak
 	g.fbSuspect = s.FbSuspect
-	g.innovStats = s.InnovStats
 
 	g.gapPending = s.GapPending
 	g.feedbackGaps = s.FeedbackGaps

@@ -14,10 +14,11 @@ import (
 // branches, same operation order — so a single lane's output is bit-identical
 // to stepping the lane's Stepper directly (pinned by batch_test.go).
 //
-// robot.LaneSet keeps plants resident in its lanes across ticks (see
-// sim.Lockstep). Filling a lane copies the per-joint constants and
-// gravity anchors from the lane's own Stepper and reading it back returns
-// the mutated anchors.
+// robot.LaneSet keeps plants resident in its lanes across ticks for the
+// fleet worker (fleet.Worker). Filling a lane copies the per-joint
+// constants and gravity anchors from the lane's own Stepper and reading
+// it back returns the mutated anchors. perfbench's trace probe also times
+// StepEulerAll per lane; no production code steps Euler in a batch.
 //
 // All scratch is preallocated at construction: steady-state stepping is
 // 0 allocs/op (guarded by the allocation regression tests).
@@ -66,12 +67,6 @@ func NewBatchStepper(capacity int) (*BatchStepper, error) {
 	}
 	return b, nil
 }
-
-// Capacity returns the lane capacity.
-func (b *BatchStepper) Capacity() int { return b.capacity }
-
-// Lanes returns the number of active lanes.
-func (b *BatchStepper) Lanes() int { return b.n }
 
 // SetLanes sets the number of active lanes for subsequent steps.
 func (b *BatchStepper) SetLanes(n int) error {
@@ -131,7 +126,7 @@ func (b *BatchStepper) LaneX(lane int, x *[StateDim]float64) {
 // SwapLanes exchanges the complete per-lane data — joint constants and
 // anchors, held torques, state vector — of lanes a and b. Lanes are
 // independent, so a swap only relabels which index a plant occupies: every
-// lane's subsequent arithmetic is unchanged. The fleet engine uses swaps to
+// lane's subsequent arithmetic is unchanged. robot.LaneSet uses swaps to
 // keep the active (unbraked) lanes a dense prefix window so the stage
 // kernels never straddle parked lanes.
 //
@@ -147,46 +142,6 @@ func (b *BatchStepper) SwapLanes(la, lb int) {
 	for c := 0; c < StateDim; c++ {
 		b.x[c][la], b.x[c][lb] = b.x[c][lb], b.x[c][la]
 	}
-}
-
-// CopyLane overwrites lane dst's per-lane data with src's. The source lane
-// is left intact; callers compacting a retired lane typically copy the last
-// active lane down and then shrink the active count.
-//
-//ravenlint:noalloc
-func (b *BatchStepper) CopyLane(dst, src int) {
-	if dst == src {
-		return
-	}
-	for j := 0; j < kinematics.NumJoints; j++ {
-		b.joints[j][dst] = b.joints[j][src]
-		b.tau[j][dst] = b.tau[j][src]
-	}
-	for c := 0; c < StateDim; c++ {
-		b.x[c][dst] = b.x[c][src]
-	}
-}
-
-// RemoveLane retires lane from the active set: the last active lane is
-// copied into its slot and the active count shrinks by one. It returns the
-// index of the lane that moved into the slot (the previous last lane), or
-// -1 when the removed lane was itself the last — callers maintaining a
-// lane→session mapping apply exactly that one move. Surviving lanes'
-// trajectories are unaffected: each lane's arithmetic depends only on its
-// own data (pinned by batch_compact_test.go).
-//
-//ravenlint:noalloc
-func (b *BatchStepper) RemoveLane(lane int) int {
-	last := b.n - 1
-	if lane < 0 || lane > last {
-		return -1
-	}
-	b.n = last
-	if lane == last {
-		return -1
-	}
-	b.CopyLane(lane, last)
-	return last
 }
 
 // Component returns the shared slice of one state component across lanes
@@ -313,16 +268,5 @@ func (b *BatchStepper) StepRK4All(dt float64) {
 			mv[l] += h6 * (am1[l] + 2*am2[l] + 2*am3[l] + am4[l])
 			lv[l] += h6 * (al1[l] + 2*al2[l] + 2*al3[l] + al4[l])
 		}
-	}
-}
-
-// StepAll advances every active lane by one step of the named scheme.
-//
-//ravenlint:noalloc
-func (b *BatchStepper) StepAll(rk4 bool, dt float64) {
-	if rk4 {
-		b.StepRK4All(dt)
-	} else {
-		b.StepEulerAll(dt)
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // compactHarness drives n resident lanes alongside n scalar reference
 // steppers, with lane data resident in the batch (no per-step repack), so
-// swap/remove moves can be interleaved with stepping and every surviving
-// lane checked against its own scalar twin.
+// lane swaps can be interleaved with stepping and every lane checked
+// against its own scalar twin.
 type compactHarness struct {
 	t     *testing.T
 	rk4   bool
@@ -56,7 +56,7 @@ func newCompactHarness(t *testing.T, rk4 bool, capacity, lanes int, seed int64) 
 func (h *compactHarness) step(k int) {
 	h.t.Helper()
 	const dt = 50e-6
-	n := h.batch.Lanes()
+	n := len(h.scalar)
 	for s := 0; s < k; s++ {
 		for l := 0; l < n; l++ {
 			var tau [3]float64
@@ -66,7 +66,7 @@ func (h *compactHarness) step(k int) {
 			h.scalar[l].SetTorque(tau)
 			h.batch.SetLaneTau(l, tau)
 		}
-		h.batch.StepAll(h.rk4, dt)
+		stepAll(h.batch, h.rk4, dt)
 		for l := 0; l < n; l++ {
 			h.scalar[l].Step(h.rk4, &h.refX[l].X, dt)
 		}
@@ -75,7 +75,7 @@ func (h *compactHarness) step(k int) {
 		var got State
 		h.batch.LaneX(l, &got.X)
 		if got.X != h.refX[l].X {
-			h.t.Fatalf("rk4=%v: lane %d (plant %d) diverged from its scalar twin after compaction ops:\nbatch  %v\nscalar %v",
+			h.t.Fatalf("rk4=%v: lane %d (plant %d) diverged from its scalar twin after lane swaps:\nbatch  %v\nscalar %v",
 				h.rk4, l, h.ids[l], got.X, h.refX[l].X)
 		}
 	}
@@ -89,30 +89,10 @@ func (h *compactHarness) swap(a, b int) {
 	h.ids[a], h.ids[b] = h.ids[b], h.ids[a]
 }
 
-// remove mirrors BatchStepper.RemoveLane and asserts the reported move.
-func (h *compactHarness) remove(lane int) {
-	h.t.Helper()
-	last := h.batch.Lanes() - 1
-	moved := h.batch.RemoveLane(lane)
-	wantMoved := last
-	if lane == last {
-		wantMoved = -1
-	}
-	if moved != wantMoved {
-		h.t.Fatalf("RemoveLane(%d) of %d lanes reported move from %d, want %d", lane, last+1, moved, wantMoved)
-	}
-	if lane != last {
-		h.scalar[lane], h.refX[lane], h.ids[lane] = h.scalar[last], h.refX[last], h.ids[last]
-	}
-	h.scalar = h.scalar[:last]
-	h.refX = h.refX[:last]
-	h.ids = h.ids[:last]
-}
-
-// TestBatchCompactionBitIdentical pins the compaction guarantee the fleet
-// engine rests on: interleaving SwapLanes/RemoveLane/CopyLane with stepping
-// leaves every surviving lane's trajectory bit-identical to its scalar twin
-// — a retired neighbour can never perturb a survivor.
+// TestBatchCompactionBitIdentical pins the lane-swap guarantee
+// robot.LaneSet's park/unpark moves rest on: interleaving SwapLanes with
+// stepping leaves every lane's trajectory bit-identical to its scalar twin
+// — a moved neighbour can never perturb another lane.
 func TestBatchCompactionBitIdentical(t *testing.T) {
 	for _, rk4 := range []bool{true, false} {
 		h := newCompactHarness(t, rk4, 8, 7, 40)
@@ -121,59 +101,16 @@ func TestBatchCompactionBitIdentical(t *testing.T) {
 		// Swap interior lanes, step, swap boundary lanes, step.
 		h.swap(1, 5)
 		h.step(150)
-		h.swap(0, h.batch.Lanes()-1)
+		h.swap(0, len(h.scalar)-1)
 		h.step(150)
-
-		// Retire an interior lane (last lane moves down), the new last lane
-		// (no move), then lane 0.
-		h.remove(2)
-		h.step(150)
-		h.remove(h.batch.Lanes() - 1)
-		h.step(150)
-		h.remove(0)
-		h.step(150)
-
-		// Re-admit into the freed tail slot via CopyLane from a template
-		// lane, then diverge it with its own torques: survivors unharmed.
-		n := h.batch.Lanes()
-		if err := h.batch.SetLanes(n + 1); err != nil {
-			t.Fatal(err)
-		}
-		h.batch.CopyLane(n, 0)
-		// The twin needs lane 0's joint constants (ids[0] names the plant
-		// there now) plus its mutable anchors/torque via the checkpoint.
-		twin, err := NewStepper(perturbedParams(40 + int64(h.ids[0])))
-		if err != nil {
-			t.Fatal(err)
-		}
-		twin.RestoreCheckpoint(h.scalar[0].Checkpoint())
-		h.scalar = append(h.scalar, twin)
-		h.refX = append(h.refX, h.refX[0])
-		h.ids = append(h.ids, 100)
-		h.step(200)
 	}
 }
 
-// TestRemoveLaneBounds pins the edge semantics: removing out-of-range lanes
-// is a no-op reporting -1.
-func TestRemoveLaneBounds(t *testing.T) {
-	b, err := NewBatchStepper(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetLanes(2); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.RemoveLane(2); got != -1 || b.Lanes() != 2 {
-		t.Fatalf("RemoveLane(2) on 2 lanes: moved=%d lanes=%d, want -1, 2", got, b.Lanes())
-	}
-	if got := b.RemoveLane(-1); got != -1 || b.Lanes() != 2 {
-		t.Fatalf("RemoveLane(-1): moved=%d lanes=%d, want -1, 2", got, b.Lanes())
-	}
-	if got := b.RemoveLane(1); got != -1 || b.Lanes() != 1 {
-		t.Fatalf("RemoveLane(last): moved=%d lanes=%d, want -1, 1", got, b.Lanes())
-	}
-	if got := b.RemoveLane(0); got != -1 || b.Lanes() != 0 {
-		t.Fatalf("RemoveLane(only): moved=%d lanes=%d, want -1, 0", got, b.Lanes())
+// stepAll advances every active lane by one step of the named scheme.
+func stepAll(b *BatchStepper, rk4 bool, dt float64) {
+	if rk4 {
+		b.StepRK4All(dt)
+	} else {
+		b.StepEulerAll(dt)
 	}
 }

@@ -72,7 +72,7 @@ func driveBoth(t *testing.T, rk4 bool, lanes, lane int, seed int64) {
 			}
 		}
 		ref.Step(rk4, &refX.X, dt)
-		batch.StepAll(rk4, dt)
+		stepAll(batch, rk4, dt)
 		for l := 0; l < lanes; l++ {
 			batch.LaneX(l, &xs[l].X)
 			scalars[l].ReadLane(batch, l)

@@ -435,26 +435,17 @@ func (c FaultCampaignConfig) campaignRig(plan fault.Plan, pol GuardPolicy, seedI
 }
 
 // campaignFan forks one group's snapshot into a rig per fault kind and
-// steps the cohort together on the lockstep tick engine. If anything in
-// the shared cohort panics, it falls back to running each kind's
-// continuation individually so the crash lands on the kind that caused it
-// (legacy per-run semantics).
+// runs each kind's continuation to the end of its session.
 func (c FaultCampaignConfig) campaignFan(kinds []fault.Kind, p fcPrefix) ([]faultRun, error) {
 	recs := make([]faultRun, len(kinds))
-	if p.crashed {
-		for i := range recs {
+	for i, k := range kinds {
+		if p.crashed {
 			recs[i] = faultRun{crashed: true}
+			continue
 		}
-		return recs, nil
-	}
-
-	ok, err := c.fanLockstep(kinds, p, recs)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		for i, k := range kinds {
-			recs[i] = c.fanOne(k, p)
+		var err error
+		if recs[i], err = c.fanOne(k, p); err != nil {
+			return nil, err
 		}
 	}
 	return recs, nil
@@ -493,50 +484,23 @@ func (c FaultCampaignConfig) fanContinue(k fault.Kind, p fcPrefix, rec *faultRun
 	return rig, finish, nil
 }
 
-// fanLockstep runs every kind's continuation together. Construction errors
-// propagate; a panic anywhere mid-cohort returns ok=false (the cohort's
-// rigs are unsalvageable, the caller reruns kinds individually).
-func (c FaultCampaignConfig) fanLockstep(kinds []fault.Kind, p fcPrefix, recs []faultRun) (ok bool, err error) {
-	rigs := make([]*sim.Rig, len(kinds))
-	finishers := make([]func(), len(kinds))
-	for i, k := range kinds {
-		rigs[i], finishers[i], err = c.fanContinue(k, p, &recs[i])
-		if err != nil {
-			return false, err
-		}
-	}
+// fanOne runs one kind's continuation alone. Construction and step errors
+// propagate; a panic marks only this kind's run as crashed.
+func (c FaultCampaignConfig) fanOne(k fault.Kind, p fcPrefix) (rec faultRun, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			ok, err = false, nil
-		}
-	}()
-	if err := sim.RunLockstep(rigs); err != nil {
-		return false, err
-	}
-	for _, finish := range finishers {
-		finish()
-	}
-	return true, nil
-}
-
-// fanOne runs one kind's continuation alone, catching panics as crashed
-// runs; construction errors also read as crashes here because the cohort
-// pass already vouched for the configuration.
-func (c FaultCampaignConfig) fanOne(k fault.Kind, p fcPrefix) (rec faultRun) {
-	defer func() {
-		if r := recover(); r != nil {
-			rec = faultRun{crashed: true}
+			rec, err = faultRun{crashed: true}, nil
 		}
 	}()
 	rig, finish, err := c.fanContinue(k, p, &rec)
 	if err != nil {
-		return faultRun{crashed: true}
+		return faultRun{}, err
 	}
 	if _, err := rig.Run(0); err != nil {
-		return faultRun{crashed: true}
+		return faultRun{}, err
 	}
 	finish()
-	return rec
+	return rec, nil
 }
 
 // mergeFaultCampaignResults combines the partial matrices of two adjacent

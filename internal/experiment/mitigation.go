@@ -277,7 +277,7 @@ func mitigationSessionRig(cfg MitigationConfig, mode core.Mode, i int, value int
 // simulated the head on is carried along (with its observer state, held by
 // pointer so the fan sees the prefix observer's writes): the rig was built
 // with values[0] and already sits at the fork state, so the fan continues
-// it as the first fork lane instead of building and restoring a fresh rig.
+// it as the first fork instead of building and restoring a fresh rig.
 type mitPrefix struct {
 	rig  *sim.Rig
 	snap sim.Snapshot
@@ -319,8 +319,8 @@ type MitigationPartial struct {
 // The attacked sessions differ across values only in the value the
 // injector writes once it activates — and every injector is still dormant
 // at mitigationPrefixSteps — so each (arm, attack) session head is
-// simulated once, snapshotted, and forked into one rig per value; the
-// forks then step together on the lockstep tick engine (sim.Lockstep).
+// simulated once, snapshotted, and forked into one rig per value; each
+// fork then runs to the end of its session with Rig.Run.
 func RunMitigationSweep(values []int16, cfg MitigationConfig) ([]MitigationResult, error) {
 	cfg.applyDefaults()
 	p, err := RunMitigationSweepRange(values, cfg, 0, cfg.Attacks)
@@ -377,7 +377,7 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 			recs := make([]mitigationRun, len(values))
 			states := make([]mitState, len(values))
 			// The prefix rig was built with values[0] and is already at the
-			// fork state: continue it as lane 0 (its observer keeps writing
+			// fork state: continue it as fork 0 (its observer keeps writing
 			// into p.rec/p.st). The remaining values fork via the snapshot.
 			rigs[0] = p.rig
 			for vi := 1; vi < len(values); vi++ {
@@ -393,8 +393,10 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 				observeMitigation(rig, p.ref, &states[vi], &recs[vi])
 				rigs[vi] = rig
 			}
-			if err := sim.RunLockstep(rigs); err != nil {
-				return nil, err
+			for _, rig := range rigs {
+				if _, err := rig.Run(0); err != nil {
+					return nil, err
+				}
 			}
 			recs[0] = *p.rec
 			for vi, rig := range rigs {

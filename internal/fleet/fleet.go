@@ -4,15 +4,15 @@
 // protected by the dynamic model-based guard — inside one process, at a
 // density of hundreds to thousands of sessions per core.
 //
-// Sessions are sharded round-robin across per-core workers. Each worker is
-// a sim.Lockstep — the same tick engine the campaign fan-outs run on —
-// plus a tick-latency histogram: sessions' plants stay resident in the
-// lanes of one structure-of-arrays stepper, every control period runs all
-// control halves (each guard checks its frame in-line), one fused plant
-// integration and all bookkeeping halves, and each step's guard decision
-// folds into the session's running digest.
-// Admission and retirement are dynamic — lanes compact by swaps on session
-// exit — and the steady-state tick path is allocation-free.
+// Sessions are sharded round-robin across per-core workers. Each worker
+// holds its sessions' rigs plus a tick-latency histogram: sessions' plants
+// stay resident in the lanes of one structure-of-arrays stepper
+// (robot.LaneSet), every control period runs all control halves (each
+// guard checks its frame in-line), one fused plant integration and all
+// bookkeeping halves, and each step's guard decision folds into the
+// session's running digest. Admission and retirement are dynamic — lanes
+// compact by swaps on session exit — and the steady-state tick path is
+// allocation-free.
 //
 // Determinism: a session run inside a packed fleet produces byte-identical
 // guard verdicts and tip trajectories to the same Spec run alone

@@ -65,7 +65,7 @@ func gapSession(t *testing.T, seed int64, teleop float64, mode core.Mode, gapSta
 
 // TestGuardBatchMatchesScalarAcrossEdges pins guarded sessions run on a
 // fleet worker against the same sessions stepped alone with Rig.Step, at
-// the edges of the lockstep engine: feedback gaps with model resync,
+// the edges of the worker's lockstep tick: feedback gaps with model resync,
 // hold-safe engagement (frame rewrites under cooldown), mid-run admission,
 // post-retirement lane compaction, and a board stall that rejects the
 // frames the guard passed (dropped and counted, never fatal to the tick).

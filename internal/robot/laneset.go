@@ -10,14 +10,15 @@ import (
 
 // LaneSet keeps plants resident in the lanes of one structure-of-arrays
 // stepper (see dynamics.BatchStepper) while they step together tick after
-// tick — the plant stage of sim.Lockstep, which drives both the fleet
-// engine's sessions and the campaign fan-outs' forks. A plant's hot state
-// is loaded into its lane when it unparks and stays there until the plant
+// tick — the plant stage of the fleet worker's tick (fleet.Worker); every
+// other driver steps its rig's plant alone with Plant.Step. perfbench's
+// trace probe also times LaneSet.Step per lane. A plant's hot state is
+// loaded into its lane when it unparks and stays there until the plant
 // parks (brakes engage) or retires, so steady ticks copy nothing in.
 //
-// Lanes are partitioned into a dense active window [0, Active()) of
+// Lanes are partitioned into a dense active window [0, active) of
 // unbraked plants that the fused stage kernels sweep in lockstep, and a
-// parked tail [Active(), Resident()) of braked plants holding position on
+// parked tail [active, Resident()) of braked plants holding position on
 // the cheap scalar path. Brake transitions move plants across the boundary
 // by lane swaps; retirement compacts the tail. Every move is reported
 // through the OnSwap callback so callers can mirror a lane→session mapping.
@@ -56,22 +57,8 @@ func NewLaneSet(capacity int) (*LaneSet, error) {
 	}, nil
 }
 
-// Capacity returns the lane capacity.
-func (s *LaneSet) Capacity() int { return len(s.plants) }
-
-// Active returns the number of unbraked plants in the stepping window.
-func (s *LaneSet) Active() int { return s.active }
-
 // Resident returns the number of plants currently holding lanes.
 func (s *LaneSet) Resident() int { return s.resident }
-
-// Plant returns the plant resident in lane (nil when the lane is free).
-func (s *LaneSet) Plant(lane int) *Plant {
-	if lane < 0 || lane >= s.resident {
-		return nil
-	}
-	return s.plants[lane]
-}
 
 // Admit gives p a resident lane and returns its index. The plant joins the
 // parked tail (fresh plants power up with brakes engaged; an unbraked

@@ -154,7 +154,7 @@ type Rig struct {
 	fbBuf usb.Feedback  //ravenlint:snapshot-ignore per-step scratch, fully rewritten each step
 
 	// pending carries the control-phase results of a split step between
-	// StepControl and FinishStep (see Lockstep).
+	// StepControl and FinishStep (see fleet.Worker).
 	pending pendingStep //ravenlint:snapshot-ignore intra-step scratch; snapshots are taken at step boundaries
 }
 
@@ -358,8 +358,9 @@ func (r *Rig) Step() (StepInfo, error) {
 // feedback read, control cycle, PLC supervision, brake command — up to (but
 // not including) the plant physics. After StepControl, advance the plant by
 // one control period (Plant.Step, or a robot.LaneSet lane), then call
-// FinishStep. Step is StepControl + Plant.Step + FinishStep; Lockstep runs
-// the split to step many rigs' plants in one fused integration.
+// FinishStep. Step is StepControl + Plant.Step + FinishStep; the fleet
+// worker runs the split to step many rigs' plants in one fused
+// integration.
 //
 //ravenlint:noalloc
 func (r *Rig) StepControl() error {

@@ -101,19 +101,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return percentileSorted(sorted, p), nil
 }
 
-// PercentileSorted returns the p-th percentile of an already ascending-sorted
-// slice. It avoids the copy/sort that Percentile performs, for hot paths
-// that compute many percentiles of the same sample.
-func PercentileSorted(sorted []float64, p float64) (float64, error) {
-	if len(sorted) == 0 {
-		return 0, fmt.Errorf("stats: percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of range [0,100]", p)
-	}
-	return percentileSorted(sorted, p), nil
-}
-
 func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]

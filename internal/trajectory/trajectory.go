@@ -2,9 +2,9 @@
 // console emulator replays. The paper's evaluation framework replaced the
 // human operator with "previously collected trajectories of surgical
 // movements"; with no such recordings available we synthesise motions with
-// the same character — smooth, low-speed (5–20 mm/s tip speed), with
-// variability across runs — using seeded generators so every run is
-// reproducible.
+// the same character — smooth, low-speed (5–20 mm/s tip speed) — as
+// deterministic functions of time, so every run is reproducible (run to
+// run variability comes from the plant's seeded disturbance noise).
 //
 // A Trajectory maps time to a tip displacement relative to the pose at
 // which teleoperation began; the console differentiates it into the
@@ -14,7 +14,6 @@ package trajectory
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"ravenguard/internal/mathx"
 )
@@ -119,65 +118,6 @@ func (s Spiral) Pos(t float64) mathx.Vec3 {
 
 // Name implements Trajectory.
 func (s Spiral) Name() string { return "spiral" }
-
-// SumOfSines is a seeded pseudo-random smooth motion: each axis is a sum
-// of NumTerms sinusoids with random frequencies in [MinFreq, MaxFreq] and
-// random phases, normalised to the requested amplitude. It provides the
-// "sufficient variability in the movement" the paper wanted in its
-// threshold-training trajectories.
-type SumOfSines struct {
-	name string
-	amp  [3][]float64
-	freq [3][]float64
-	ph   [3][]float64
-}
-
-var _ Trajectory = (*SumOfSines)(nil)
-
-// NewSumOfSines builds a random smooth trajectory with per-axis amplitude
-// bound amp (meters) from the given seed.
-func NewSumOfSines(seed int64, amp float64, terms int) *SumOfSines {
-	if terms <= 0 {
-		terms = 4
-	}
-	rng := rand.New(rand.NewSource(seed))
-	s := &SumOfSines{name: fmt.Sprintf("sum-of-sines(seed=%d)", seed)}
-	for axis := 0; axis < 3; axis++ {
-		amps := make([]float64, terms)
-		freqs := make([]float64, terms)
-		phases := make([]float64, terms)
-		total := 0.0
-		for i := 0; i < terms; i++ {
-			amps[i] = 0.2 + rng.Float64()
-			freqs[i] = 0.05 + 0.4*rng.Float64() // 0.05–0.45 Hz
-			phases[i] = 2 * math.Pi * rng.Float64()
-			total += amps[i]
-		}
-		for i := range amps {
-			amps[i] *= amp / total
-		}
-		s.amp[axis] = amps
-		s.freq[axis] = freqs
-		s.ph[axis] = phases
-	}
-	return s
-}
-
-// Pos implements Trajectory.
-func (s *SumOfSines) Pos(t float64) mathx.Vec3 {
-	var out [3]float64
-	for axis := 0; axis < 3; axis++ {
-		for i := range s.amp[axis] {
-			w := 2*math.Pi*s.freq[axis][i]*t + s.ph[axis][i]
-			// Subtract the phase-only term so Pos(0) = 0.
-			out[axis] += s.amp[axis][i] * (math.Sin(w) - math.Sin(s.ph[axis][i]))
-		}
-	}
-	return mathx.Vec3{X: out[0], Y: out[1], Z: out[2]}
-}
-
-// Name implements Trajectory.
-func (s *SumOfSines) Name() string { return s.name }
 
 // OriProfile is a time-parameterised instrument-wrist motion: displacement
 // of (roll, wrist pitch, grasp) in radians from the teleoperation start

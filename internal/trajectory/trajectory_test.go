@@ -14,7 +14,6 @@ func all() []Trajectory {
 		Lissajous{Amp: mathx.Vec3{X: 0.008, Y: 0.008, Z: 0.006},
 			Freq: mathx.Vec3{X: 0.23, Y: 0.31, Z: 0.17}},
 		Spiral{Radius: 0.008, Freq: 0.3, Rate: 0.001, Depth: 0.01},
-		NewSumOfSines(7, 0.01, 5),
 		Rest{},
 	}
 }
@@ -78,25 +77,6 @@ func TestDeterminism(t *testing.T) {
 		if a != b {
 			t.Errorf("%s: nondeterministic Pos", tr.Name())
 		}
-	}
-}
-
-func TestSumOfSinesSeedsDiffer(t *testing.T) {
-	a := NewSumOfSines(1, 0.01, 4)
-	b := NewSumOfSines(2, 0.01, 4)
-	if a.Pos(5) == b.Pos(5) {
-		t.Fatal("different seeds gave identical trajectories")
-	}
-	c := NewSumOfSines(1, 0.01, 4)
-	if a.Pos(5) != c.Pos(5) {
-		t.Fatal("same seed gave different trajectories")
-	}
-}
-
-func TestSumOfSinesDefaultTerms(t *testing.T) {
-	tr := NewSumOfSines(3, 0.01, 0)
-	if tr.Pos(1).Norm() == 0 {
-		t.Fatal("zero terms produced a dead trajectory")
 	}
 }
 

@@ -156,17 +156,16 @@ grep "^session [0-9]" "$sharddir/fleet.txt" |
 		}
 	done
 
-# Lockstep equivalence guard: rigs ticked on the lockstep engine must
-# stay bit-identical to the same rigs stepped alone — fleet sessions
-# (guard checkpoint state included) across feedback gaps with model
-# resync, hold-safe engagement, mid-run admission, post-retirement lane
-# compaction and a board stall rejecting the frames the guard passed, and
-# a campaign-style rig cohort alike — and a steady-state fleet tick must
-# stay allocation-free.
-stage="lockstep equivalence guard"
-echo "==> lockstep equivalence guard"
-go test -run 'TestGuardBatchMatchesScalarAcrossEdges' -count 1 ./internal/fleet/
-go test -run 'TestLockstepMatchesSoloRuns' -count 1 ./internal/sim/
+# Fleet equivalence guard: sessions ticked on a fleet worker must stay
+# bit-identical to the same sessions stepped alone — guard checkpoint
+# state included, across feedback gaps with model resync, hold-safe
+# engagement, mid-run admission, post-retirement lane compaction and a
+# board stall rejecting the frames the guard passed, and for a mixed fleet
+# at 1 and 8 workers — and a steady-state fleet tick must stay
+# allocation-free.
+stage="fleet equivalence guard"
+echo "==> fleet equivalence guard"
+go test -run 'TestGuardBatchMatchesScalarAcrossEdges|TestFleetMatchesStandaloneAnyWorkerCount' -count 1 ./internal/fleet/
 go test -run 'TestFleetTickDoesNotAllocate' -count 1 .
 
 # Trial-fork equivalence guard: Trial.Run forks every attack trial's
