@@ -337,25 +337,40 @@ const forkMargin = 2
 // head runs on the scored rig, attack installed but dormant, until the
 // attack is forkMargin frames from activating or the session ends, and is
 // snapshotted there. On a cold reference cache a plain rig forks the
-// reference tail off the snapshot and the assembled trace is published;
-// an unprotected rig forks the counterfactual tail; then the scored rig
-// continues. A fault-free trial is a single run: its head is the whole
-// session. Results are byte-identical to running the three sessions
-// straight through from t=0.
+// reference tail off the snapshot and the assembled trace is published.
+// Then the scored rig runs its tail, its tips scored against the
+// reference as they come.
+//
+// The scored rig differs from the counterfactual in two ways only: its
+// software safety checks are on, and its guard runs in ModeMonitor
+// (scoredRig's mode is a precondition of this shortcut). A check acts on
+// the session only when it trips, and a monitoring guard never writes the
+// frame. So a scored run that trips no check and reaches no PLC E-STOP is
+// the counterfactual bit for bit, and its own deviation is the ground
+// truth. Only a scored run that did diverge forks the counterfactual tail
+// off the snapshot, or runs it whole from t=0 if the divergence was in the
+// head. A fault-free trial is a single run: its head is the whole session.
+// Results are byte-identical to running the three sessions straight
+// through from t=0.
 func (tr Trial) Run() (Result, error) {
 	rig, guard, att, err := tr.scoredRig()
 	if err != nil {
 		return Result{}, err
 	}
+	diverged := func() bool { return rig.Controller().SafetyTrips() > 0 || rig.PLC().EStopped() }
 	res := Result{AlarmTick: -1, ImpactTick: -1}
 	head := make([]mathx.Vec3, 0, tr.sessionSteps())
-	inHead, step := true, 0
+	var dev *deviation
+	step := 0
 	rig.Observe(func(si sim.StepInfo) {
 		if res.AlarmTick < 0 && guard.Alarms() > 0 {
 			res.AlarmTick = step
 		}
-		if inHead {
+		// Head tips wait for the reference; tail tips are scored at once.
+		if dev == nil {
 			head = append(head, si.TipTrue)
+		} else {
+			dev.observe(si.TipTrue)
 		}
 		step++
 	})
@@ -364,7 +379,6 @@ func (tr Trial) Run() (Result, error) {
 			return Result{}, err
 		}
 	}
-	inHead = false
 	var snap *sim.Snapshot
 	if !rig.Done() {
 		s, err := rig.Snapshot()
@@ -386,28 +400,37 @@ func (tr Trial) Run() (Result, error) {
 		storeReference(tr.refKey(), ref)
 	}
 
+	// headDiverged is read before the tail runs: a head that tripped shares
+	// no prefix with the unprotected session.
+	headDiverged := diverged()
+	seeded := func() *deviation {
+		d := newDeviation(ref)
+		for _, p := range head {
+			d.observe(p)
+		}
+		return d
+	}
+	dev = seeded()
+	if _, err := rig.Run(0); err != nil {
+		return Result{}, err
+	}
+
 	if tr.Scenario != ScenarioNone {
-		if rig.Controller().SafetyTrips() > 0 || rig.PLC().EStopped() {
-			// The head tripped, which the unprotected session would not
-			// have: it shares no head with the scored run, so runs whole.
+		switch {
+		case headDiverged:
 			res.MaxDeviation, res.ImpactTick, err = tr.counterfactualImpact(ref)
 			if err != nil {
 				return Result{}, err
 			}
-		} else {
-			dev := newDeviation(ref)
-			for _, p := range head {
-				dev.observe(p)
-			}
-			if err := forkTail(snap, tr.counterfactualRig, dev.observe); err != nil {
+		case diverged():
+			cf := seeded()
+			if err := forkTail(snap, tr.counterfactualRig, cf.observe); err != nil {
 				return Result{}, err
 			}
+			res.MaxDeviation, res.ImpactTick = cf.max, cf.impactTick
+		default:
 			res.MaxDeviation, res.ImpactTick = dev.max, dev.impactTick
 		}
-	}
-
-	if _, err := rig.Run(0); err != nil {
-		return Result{}, err
 	}
 	res.score(rig, guard, att)
 	return res, nil

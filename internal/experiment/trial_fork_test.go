@@ -10,14 +10,16 @@ import (
 )
 
 // Trial.Run forks every trial's reference, counterfactual and scored
-// sessions off one shared head. These tests pin it byte-identical to the
+// sessions off one shared head, and skips the counterfactual tail when the
+// scored run trips nothing. These tests pin it byte-identical to the
 // straight oracle (runTrialStraight: every session whole from t=0) per
 // trial, at 1 and 8 workers, from a cold reference cache.
 
 // requireForkedMatchesStraight runs batches in order, straight once and
 // then forked at 1 and 8 workers, each pass from a cold cache kept across
-// its batches, and requires identical per-trial results.
-func requireForkedMatchesStraight(t *testing.T, batches ...[]Trial) {
+// its batches, requires identical per-trial results and returns the
+// straight ones.
+func requireForkedMatchesStraight(t *testing.T, batches ...[]Trial) [][]Result {
 	t.Helper()
 	ResetReferenceCache()
 	var straight [][]Result
@@ -45,17 +47,56 @@ func requireForkedMatchesStraight(t *testing.T, batches ...[]Trial) {
 			}
 		})
 	}
+	return straight
+}
+
+// requireBothTailPaths requires, for scenarios A and B each, an attack
+// trial whose scored run tripped nothing (Trial.Run reuses its tail as the
+// ground truth) and one whose scored run tripped after a clean head
+// (Trial.Run forks the counterfactual tail). A head is clean when the
+// trial's fault-free twin never trips: the head is that session's prefix.
+//
+// A head that trips takes the straight oracle's own path (the
+// counterfactual whole from t=0), but no Trial reaches it: a dormant
+// attack changes nothing, and no fault-free session trips RAVEN's checks.
+func requireBothTailPaths(t *testing.T, trials []Trial, results []Result) {
+	t.Helper()
+	for _, sc := range []Scenario{ScenarioA, ScenarioB} {
+		reused, forked := false, false
+		for i, tr := range trials {
+			r := results[i]
+			if tr.Scenario != sc {
+				continue
+			}
+			if !r.RavenDetected && !r.Halted {
+				reused = true
+				continue
+			}
+			if forked {
+				continue
+			}
+			twin, err := runTrialStraight(Trial{Seed: tr.Seed, TrajIdx: tr.TrajIdx, Teleop: tr.Teleop, Scenario: ScenarioNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			forked = !twin.RavenDetected && !twin.Halted
+		}
+		if !reused || !forked {
+			t.Fatalf("scenario %v: tail-reused trial %v, counterfactual-forked trial %v; want both", sc, reused, forked)
+		}
+	}
 }
 
 func TestTable4ForkedMatchesStraight(t *testing.T) {
 	// Table IV keys references by trial index mod 194 within a scenario,
 	// so each later batch re-reads keys an earlier batch made cold:
-	// A[0,4) cold, A[194,198) warm + B[0,4) cold, B[194,198) warm.
+	// A[0,4) cold, A[194,198) warm + B[0,4) cold, B[194,198) warm + B[30]
+	// cold. A[194] and B[30] trip RAVEN's checks; the others do not.
 	cfg := Table4Config{RunsA: 198, RunsB: 198, FaultFreeFrac: 0.3, BaseSeed: 4}
 	batches := [][]Trial{
 		scenarioATrials(cfg, 0, 4),
 		append(scenarioATrials(cfg, 194, 198), scenarioBTrials(cfg, 0, 4)...),
-		scenarioBTrials(cfg, 194, 198),
+		append(scenarioBTrials(cfg, 194, 198), scenarioBTrials(cfg, 30, 31)...),
 	}
 	seen := map[refKey]bool{}
 	kinds := map[Scenario]int{}
@@ -76,7 +117,14 @@ func TestTable4ForkedMatchesStraight(t *testing.T) {
 	if kinds[ScenarioNone] == 0 || kinds[ScenarioA] == 0 || kinds[ScenarioB] == 0 || warm == 0 {
 		t.Fatalf("config covers scenarios %v with %d warm-key trials; want fault-free, A, B and warm keys", kinds, warm)
 	}
-	requireForkedMatchesStraight(t, batches...)
+	straight := requireForkedMatchesStraight(t, batches...)
+	var trials []Trial
+	var results []Result
+	for i, b := range batches {
+		trials = append(trials, b...)
+		results = append(results, straight[i]...)
+	}
+	requireBothTailPaths(t, trials, results)
 }
 
 func TestFig9ForkedMatchesStraight(t *testing.T) {

@@ -1,54 +1,86 @@
 package usb
 
 import (
+	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-func TestDecodeCommandArbitraryBytesNeverPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for i := 0; i < 5000; i++ {
-		frame := make([]byte, CommandLen)
-		rng.Read(frame)
-		cmd, err := DecodeCommand(frame)
-		if err != nil {
-			t.Fatalf("well-sized random frame rejected: %v", err)
-		}
-		// Re-encoding must reproduce the wire bytes except any high bits
-		// of Byte 0 beyond the defined layout (the codec masks them).
-		back := cmd.Encode()
-		for b := 1; b < CommandLen; b++ {
-			if back[b] != frame[b] {
-				t.Fatalf("byte %d changed across decode/encode: %#02x -> %#02x", b, frame[b], back[b])
-			}
-		}
-		if back[0]&(StateMask|WatchdogBit) != frame[0]&(StateMask|WatchdogBit) {
-			t.Fatalf("Byte 0 layout bits changed: %#02x -> %#02x", frame[0], back[0])
-		}
+// addFrameSeeds seeds a codec fuzz target with each well-formed frame,
+// the frame one byte short and one byte long, and the empty frame.
+func addFrameSeeds(f *testing.F, frames ...[]byte) {
+	for _, fr := range frames {
+		f.Add(fr)
+		f.Add(fr[:len(fr)-1])
+		f.Add(append(append([]byte(nil), fr...), 0xA5))
 	}
+	f.Add([]byte{})
 }
 
-func TestDecodeFeedbackArbitraryBytesRoundTrips(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		frame := make([]byte, FeedbackLen)
-		rng.Read(frame)
-		fb, err := DecodeFeedback(frame)
-		if err != nil {
-			return false
-		}
-		back := fb.Encode()
-		for i := range frame {
-			if back[i] != frame[i] {
-				return false
+func FuzzDecodeCommand(f *testing.F) {
+	var seeds [][]byte
+	for _, c := range []Command{
+		{},
+		{StateNibble: 0x0F, Watchdog: true, Seq: 9, DAC: [NumChannels]int16{123, -456, math.MaxInt16}},
+		{StateNibble: 0x03, Seq: math.MaxUint8, DAC: [NumChannels]int16{math.MinInt16, 0, 1, -1, 2, -2, 3, -3}},
+	} {
+		fr := c.Encode()
+		seeds = append(seeds, fr[:])
+	}
+	// Byte 0's high bits lie outside the defined layout.
+	hi := Command{StateNibble: 0x0F, Watchdog: true}.Encode()
+	hi[StateByte] |= 0xE0
+	seeds = append(seeds, hi[:])
+	addFrameSeeds(f, seeds...)
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		cmd, err := DecodeCommand(frame)
+		if len(frame) != CommandLen {
+			if err == nil || cmd != (Command{}) {
+				t.Fatalf("length-%d frame: got %+v, %v; want the zero command and an error", len(frame), cmd, err)
 			}
+			return
 		}
-		return true
+		if err != nil {
+			t.Fatalf("well-sized frame rejected: %v", err)
+		}
+		// Re-encoding reproduces the wire bytes except the high bits of
+		// Byte 0 beyond the defined layout (the codec masks them).
+		want := [CommandLen]byte(frame)
+		want[StateByte] &= StateMask | WatchdogBit
+		if back := cmd.Encode(); back != want {
+			t.Fatalf("decode/encode changed the frame:\n in %x\nout %x", frame, back)
+		}
+	})
+}
+
+func FuzzDecodeFeedback(f *testing.F) {
+	var seeds [][]byte
+	for _, fb := range []Feedback{
+		{},
+		{StatusEcho: 0x1F, Seq: 9, Encoder: [NumChannels]int32{100, -200, math.MaxInt32}},
+		{StatusEcho: 0xFF, Seq: math.MaxUint8, Encoder: [NumChannels]int32{math.MinInt32, 0, 1, -1, 2, -2, 3, -3}},
+	} {
+		fr := fb.Encode()
+		seeds = append(seeds, fr[:])
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+	addFrameSeeds(f, seeds...)
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		fb, err := DecodeFeedback(frame)
+		if len(frame) != FeedbackLen {
+			if err == nil || fb != (Feedback{}) {
+				t.Fatalf("length-%d frame: got %+v, %v; want the zero feedback and an error", len(frame), fb, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("well-sized frame rejected: %v", err)
+		}
+		if back := fb.Encode(); back != [FeedbackLen]byte(frame) {
+			t.Fatalf("decode/encode changed the frame:\n in %x\nout %x", frame, back)
+		}
+	})
 }
 
 func TestDecodeFeedbackWrongLengthErrorsCleanly(t *testing.T) {

@@ -26,6 +26,19 @@ stage="go vet"
 echo "==> go vet ./..."
 go vet ./...
 
+# Every Go file must be gofmt-clean (the nested perfbench module too). The
+# ravenlint fixture under cmd/ravenlint/testdata/broken/ is deliberately
+# unparsable and is skipped; any other parse error fails the stage.
+stage="gofmt"
+echo "==> gofmt -l"
+unformatted=$(find . -name '*.go' -not -path './.git/*' -not -path './.bench_build/*' \
+	-not -path './cmd/ravenlint/testdata/broken/*' -exec gofmt -l {} +)
+[ -z "$unformatted" ] || {
+	echo "gofmt -l lists files that are not gofmt-clean:" >&2
+	echo "$unformatted" >&2
+	exit 1
+}
+
 # perfbench/ is a nested module outside ./..., so the gates above never
 # compile it; vet and test it on its own so an API it calls cannot break
 # unnoticed.
@@ -170,9 +183,11 @@ go test -run 'TestFleetTickDoesNotAllocate' -count 1 .
 
 # Trial-fork equivalence guard: Trial.Run forks every attack trial's
 # reference, counterfactual and scored sessions off one shared session
-# head, and must stay bit-identical per trial to the straight oracle that
+# head, runs the counterfactual tail only when the scored run tripped a
+# check, and must stay bit-identical per trial to the straight oracle that
 # simulates all three from t=0 — Table IV and Fig 9 trials over cold and
-# warm reference keys, every ablation knob, the fork-point edges, and the
+# warm reference keys (Table IV's set covers a reused and a forked tail in
+# each scenario), every ablation knob, the fork-point edges, and the
 # reference trace a forked trial publishes to the cache.
 stage="trial-fork equivalence guard"
 echo "==> trial-fork equivalence guard"
