@@ -335,13 +335,13 @@ func BenchmarkAttackTrial(b *testing.B) {
 func BenchmarkMitigationComparison(b *testing.B) {
 	var holdCompletion float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunMitigationComparison(experiment.MitigationConfig{
-			Attacks: 6, Value: 16000, BaseSeed: int64(91 + i),
+		res, err := experiment.RunMitigationSweep([]int16{16000}, experiment.MitigationConfig{
+			Attacks: 6, BaseSeed: int64(91 + i),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		holdCompletion = res.Arms[2].CompletionRate
+		holdCompletion = res[0].Arms[2].CompletionRate
 	}
 	b.ReportMetric(holdCompletion, "holdsafe-P(complete)")
 }

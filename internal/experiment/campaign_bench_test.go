@@ -26,7 +26,7 @@ func BenchmarkTable1CampaignStraight(b *testing.B) {
 
 // The fault campaign at the -quick size (all 11 kinds, 1 seed, 4 s of
 // teleoperation): 44 full sessions straight, vs 4 shared heads + 44
-// batch-stepped continuations forked.
+// continuations restored from their snapshots forked.
 func benchFaultCfg() FaultCampaignConfig {
 	return FaultCampaignConfig{BaseSeed: 1, Seeds: 1, Teleop: 4}
 }
@@ -92,7 +92,7 @@ func BenchmarkMitigationSweepStraight(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ResetReferenceCache()
 		for _, v := range []int16{12000, 16000, 20000} {
-			if _, err := RunMitigationComparison(MitigationConfig{Attacks: 12, Value: v, BaseSeed: 1}); err != nil {
+			if _, err := runMitigationStraight(MitigationConfig{Attacks: 12, Value: v, BaseSeed: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -179,10 +179,10 @@ func (tr Trial) reference() ([]mathx.Vec3, error) {
 		return nil, fmt.Errorf("experiment: reference: %w", err)
 	}
 	trace := make([]mathx.Vec3, 0, tr.sessionSteps())
-	if err := runTips(rig, func(p mathx.Vec3) { trace = append(trace, p) }); err != nil {
+	if err := runObserved(rig, func(si sim.StepInfo) { trace = append(trace, si.TipTrue) }); err != nil {
 		return nil, fmt.Errorf("experiment: reference: %w", err)
 	}
-	storeReference(tr.refKey(), trace)
+	tr.storeReference(trace)
 	return trace, nil
 }
 
@@ -193,15 +193,35 @@ func ResetReferenceCache() {
 	_refs.mu.Unlock()
 }
 
-// storeReference publishes a fault-free tip trace. Forking runners publish
-// the one they assembled as a by-product (head tips + forked reference
-// tail), so later trials with the same key skip the reference run.
-func storeReference(key refKey, trace []mathx.Vec3) {
+// storeReference publishes the trial's fault-free tip trace, unless one is
+// cached already.
+func (tr Trial) storeReference(trace []mathx.Vec3) {
 	_refs.mu.Lock()
-	if _, ok := _refs.m[key]; !ok {
-		_refs.m[key] = trace
+	if _, ok := _refs.m[tr.refKey()]; !ok {
+		_refs.m[tr.refKey()] = trace
 	}
 	_refs.mu.Unlock()
+}
+
+// forkReference completes dev, a tracker that observed a session head of
+// the trial paused at snap (nil: the head ran the whole session). The head
+// must be the fault-free session's own head: attack dormant, nothing
+// tripped. The trial's reference is the cached trace, or else the head's
+// tips followed by a plain rig's tail forked off snap, published so later
+// trials with the same key skip the reference run. dev is then scored
+// against it from the first step.
+func (tr Trial) forkReference(dev *deviation, snap *sim.Snapshot) ([]mathx.Vec3, error) {
+	ref, cached := tr.cachedReference()
+	if !cached {
+		ref = dev.head
+		plain := func() (*sim.Rig, error) { return sim.New(tr.config()) }
+		if err := forkTail(snap, plain, func(si sim.StepInfo) { ref = append(ref, si.TipTrue) }); err != nil {
+			return nil, fmt.Errorf("experiment: reference: %w", err)
+		}
+		tr.storeReference(ref)
+	}
+	dev.setReference(ref)
+	return ref, nil
 }
 
 // attack is what a trial needs of an installed attack instance.
@@ -246,18 +266,27 @@ func (tr Trial) installAttack(cfg *sim.Config) (attack, error) {
 	}
 }
 
-// runTips runs rig to the end of its session, handing every step's true
-// tip to tip.
-func runTips(rig *sim.Rig, tip func(mathx.Vec3)) error {
-	rig.Observe(func(si sim.StepInfo) { tip(si.TipTrue) })
+// runObserved runs rig to the end of its session under obs.
+func runObserved(rig *sim.Rig, obs sim.Observer) error {
+	rig.Observe(obs)
 	_, err := rig.Run(0)
 	return err
 }
 
+// snapshotHead snapshots a rig paused at a fork point. A nil snapshot means
+// the head ran the whole session, so there is no tail to fork.
+func snapshotHead(rig *sim.Rig) (*sim.Snapshot, error) {
+	if rig.Done() {
+		return nil, nil
+	}
+	snap, err := rig.Snapshot()
+	return &snap, err
+}
+
 // forkTail builds a rig, restores a session head's snapshot into it and
-// runs the rest of the session through runTips. A nil snap means the head
-// ran the whole session, so there is no tail to run.
-func forkTail(snap *sim.Snapshot, build func() (*sim.Rig, error), tip func(mathx.Vec3)) error {
+// runs the rest of the session under obs. A nil snap means the head ran
+// the whole session, so there is no tail to run.
+func forkTail(snap *sim.Snapshot, build func() (*sim.Rig, error), obs sim.Observer) error {
 	if snap == nil {
 		return nil
 	}
@@ -268,31 +297,82 @@ func forkTail(snap *sim.Snapshot, build func() (*sim.Rig, error), tip func(mathx
 	if err := rig.Restore(*snap); err != nil {
 		return err
 	}
-	return runTips(rig, tip)
+	return runObserved(rig, obs)
 }
 
-// deviation scores a tip trace against a reference trace step by step:
-// the peak distance and the first step it crossed the 1 mm criterion.
+// deviation scores a session's tips against its same-seed fault-free
+// reference step by step: the peak distance and the first step it crossed
+// the 1 mm criterion. Scoring stops after the first step with the PLC
+// E-STOPped: after a halt the reference keeps moving while the robot is
+// frozen, which is divergence, not motion. A tracker is a plain value, so
+// a forking campaign copies it at the fork point and every fork scores on
+// from there.
+//
+// A forking trial assembles its reference from its own head, so its
+// tracker starts without one (newHeadDeviation): it keeps the tips it
+// observes until setReference scores them.
 type deviation struct {
 	ref        []mathx.Vec3
+	head       []mathx.Vec3 // tips observed before ref was set
 	max        float64
 	impactTick int
+	haltTick   int // first step with the PLC E-STOPped, the last one scored (-1: none)
 	step       int
 }
 
-func newDeviation(ref []mathx.Vec3) *deviation { return &deviation{ref: ref, impactTick: -1} }
+func newDeviation(ref []mathx.Vec3) deviation {
+	return deviation{ref: ref, impactTick: -1, haltTick: -1}
+}
 
-func (d *deviation) observe(tip mathx.Vec3) {
-	if d.step < len(d.ref) {
-		dist := tip.DistanceTo(d.ref[d.step])
-		if dist > d.max {
-			d.max = dist
-		}
-		if d.impactTick < 0 && dist > AdverseJumpThreshold {
-			d.impactTick = d.step
-		}
+// newHeadDeviation returns a tracker whose reference is not known yet,
+// with room for a session of steps tips.
+func newHeadDeviation(steps int) deviation {
+	d := newDeviation(nil)
+	d.head = make([]mathx.Vec3, 0, steps)
+	return d
+}
+
+// observe scores one step; it is a sim.Observer.
+func (d *deviation) observe(si sim.StepInfo) { d.next(si) }
+
+// next scores one step and returns its deviation vector; ok is false when
+// the step went unscored.
+func (d *deviation) next(si sim.StepInfo) (v mathx.Vec3, ok bool) {
+	if d.ref == nil {
+		d.head = append(d.head, si.TipTrue)
+	}
+	v, ok = d.score(d.step, si.TipTrue)
+	if si.PLCEStop && d.haltTick < 0 {
+		d.haltTick = d.step
 	}
 	d.step++
+	return v, ok
+}
+
+// setReference scores the head tips observed so far against ref, and
+// every later step as it comes.
+func (d *deviation) setReference(ref []mathx.Vec3) {
+	d.ref = ref
+	for i, tip := range d.head {
+		d.score(i, tip)
+	}
+}
+
+// score scores step i's tip unless the session had halted before it or it
+// outran the reference.
+func (d *deviation) score(i int, tip mathx.Vec3) (v mathx.Vec3, ok bool) {
+	if (d.haltTick >= 0 && i > d.haltTick) || i >= len(d.ref) {
+		return v, false
+	}
+	v = tip.Sub(d.ref[i])
+	dist := v.Norm()
+	if dist > d.max {
+		d.max = dist
+	}
+	if d.impactTick < 0 && dist > AdverseJumpThreshold {
+		d.impactTick = i
+	}
+	return v, true
 }
 
 // counterfactualRig assembles the trial's unprotected session: a fresh
@@ -318,7 +398,7 @@ func (tr Trial) counterfactualImpact(ref []mathx.Vec3) (float64, int, error) {
 		return 0, -1, err
 	}
 	dev := newDeviation(ref)
-	if err := runTips(rig, dev.observe); err != nil {
+	if err := runObserved(rig, dev.observe); err != nil {
 		return 0, -1, err
 	}
 	return dev.max, dev.impactTick, nil
@@ -359,58 +439,31 @@ func (tr Trial) Run() (Result, error) {
 	}
 	diverged := func() bool { return rig.Controller().SafetyTrips() > 0 || rig.PLC().EStopped() }
 	res := Result{AlarmTick: -1, ImpactTick: -1}
-	head := make([]mathx.Vec3, 0, tr.sessionSteps())
-	var dev *deviation
-	step := 0
+	dev := newHeadDeviation(tr.sessionSteps())
 	rig.Observe(func(si sim.StepInfo) {
 		if res.AlarmTick < 0 && guard.Alarms() > 0 {
-			res.AlarmTick = step
+			res.AlarmTick = dev.step
 		}
-		// Head tips wait for the reference; tail tips are scored at once.
-		if dev == nil {
-			head = append(head, si.TipTrue)
-		} else {
-			dev.observe(si.TipTrue)
-		}
-		step++
+		dev.observe(si)
 	})
 	for !rig.Done() && att.FramesUntilActive() > forkMargin {
 		if _, err := rig.Step(); err != nil {
 			return Result{}, err
 		}
 	}
-	var snap *sim.Snapshot
-	if !rig.Done() {
-		s, err := rig.Snapshot()
-		if err != nil {
-			return Result{}, err
-		}
-		snap = &s
+	snap, err := snapshotHead(rig)
+	if err != nil {
+		return Result{}, err
 	}
-
-	ref, cached := tr.cachedReference()
-	if !cached {
-		// The dormant head is the reference's head too: the reference is
-		// the head tips plus a plain rig's tail from the snapshot.
-		ref = head
-		plain := func() (*sim.Rig, error) { return sim.New(tr.config()) }
-		if err := forkTail(snap, plain, func(p mathx.Vec3) { ref = append(ref, p) }); err != nil {
-			return Result{}, fmt.Errorf("experiment: reference: %w", err)
-		}
-		storeReference(tr.refKey(), ref)
+	ref, err := tr.forkReference(&dev, snap)
+	if err != nil {
+		return Result{}, err
 	}
 
 	// headDiverged is read before the tail runs: a head that tripped shares
 	// no prefix with the unprotected session.
 	headDiverged := diverged()
-	seeded := func() *deviation {
-		d := newDeviation(ref)
-		for _, p := range head {
-			d.observe(p)
-		}
-		return d
-	}
-	dev = seeded()
+	atFork := dev
 	if _, err := rig.Run(0); err != nil {
 		return Result{}, err
 	}
@@ -423,7 +476,7 @@ func (tr Trial) Run() (Result, error) {
 				return Result{}, err
 			}
 		case diverged():
-			cf := seeded()
+			cf := atFork
 			if err := forkTail(snap, tr.counterfactualRig, cf.observe); err != nil {
 				return Result{}, err
 			}

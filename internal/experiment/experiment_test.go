@@ -1,11 +1,26 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
 	"ravenguard/internal/inject"
 )
+
+// requireDigest pins a campaign result absolutely: the SHA-256 of its
+// %#v rendering must equal want. %#v prints every float64 as the shortest
+// decimal that round-trips and bypasses String methods (stats.Summary's
+// rounds to three digits), so any change in any bit of the result changes
+// the digest. The digests are for amd64: another GOARCH may fuse
+// floating-point operations differently.
+func requireDigest(t *testing.T, res any, want string) {
+	t.Helper()
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%#v", res)))); got != want {
+		t.Fatalf("result digest %s, want %s\nresult: %+v", got, want, res)
+	}
+}
 
 func TestTrialFaultFree(t *testing.T) {
 	res, err := Trial{Seed: 11, Scenario: ScenarioNone}.Run()
@@ -294,16 +309,21 @@ func TestRunTable1(t *testing.T) {
 			t.Errorf("variant %q impact = %q, want fragment %q", row.Variant, row.Impact, frag)
 		}
 	}
+	// amd64 digest.
+	requireDigest(t, res, "5b9114a3259e2b304488b1ccc0eb81ef697d3a87aa6a164006779d642461b783")
 }
 
 func TestMitigationComparisonShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparison is slow")
 	}
-	res, err := RunMitigationComparison(MitigationConfig{Attacks: 12, Value: 16000, BaseSeed: 5})
+	results, err := RunMitigationSweep([]int16{16000}, MitigationConfig{Attacks: 12, Value: 16000, BaseSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
+	// amd64 digest.
+	requireDigest(t, res, "2a3800914968f7f4fdd7048b0c14fd4b7a70e810a5c78e00f369e04596e930be")
 	if len(res.Arms) != 3 {
 		t.Fatalf("arms = %d", len(res.Arms))
 	}

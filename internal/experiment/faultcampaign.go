@@ -8,7 +8,6 @@ import (
 	"ravenguard/internal/control"
 	"ravenguard/internal/core"
 	"ravenguard/internal/fault"
-	"ravenguard/internal/mathx"
 	"ravenguard/internal/metrics"
 	"ravenguard/internal/sim"
 	"ravenguard/internal/statemachine"
@@ -241,19 +240,18 @@ func (c *FaultCampaignConfig) applyDefaults() {
 
 // RunFaultCampaign executes the fault-kind × guard-policy matrix.
 //
-// The matrix is run on the two-level plan: one group per (policy, seed)
-// cell column. Its prefix job simulates the session head once under a
-// dormant UNION of every kind's fault plan (no event opens before
-// campaignFaultAt, and dormant faulters are behavioral identities, so the
-// head is the same physics every kind would have computed) and snapshots
-// it at the fork point. The fan job then forks the snapshot into one rig
-// per fault kind — each with only its own kind's plan, which restores
-// cleanly because per-boundary fault rng streams derive from Plan.Seed
-// alone — and steps them together through the structure-of-arrays batch
-// stepper. Classification walks the records single-threaded in the fixed
-// legacy matrix order, so the same configuration reproduces the identical
-// matrix at any worker count, byte-for-byte equal to running every cell
-// straight through.
+// Each (policy, seed) column of the matrix is one job. It simulates the
+// session head once under a dormant UNION of every kind's fault plan (no
+// event opens before campaignFaultAt, and dormant faulters are behavioral
+// identities, so the head is the same physics every kind would have
+// computed) and snapshots it at the fork point. Then it restores one rig
+// per fault kind from the snapshot — each with only its own kind's plan,
+// which restores cleanly because per-boundary fault rng streams derive
+// from Plan.Seed alone — and runs each to the end of its session.
+// Classification walks the records single-threaded in the fixed legacy
+// matrix order, so the same configuration reproduces the identical matrix
+// at any worker count, byte-for-byte equal to running every cell straight
+// through.
 func RunFaultCampaign(c FaultCampaignConfig) (FaultCampaignResult, error) {
 	c.applyDefaults()
 	return RunFaultCampaignRange(c, 0, c.Seeds)
@@ -278,18 +276,14 @@ func RunFaultCampaignRange(c FaultCampaignConfig, lo, hi int) (FaultCampaignResu
 		return FaultCampaignResult{}, nil
 	}
 
-	groups, err := runGroups(len(policies)*span,
-		func(g int) (fcPrefix, error) {
-			return c.campaignPrefix(kinds, policies[g/span], lo+g%span)
-		},
-		func(int) int { return 1 },
-		func(g, _ int, p fcPrefix) ([]faultRun, error) {
-			recs, err := c.campaignFan(kinds, p)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: fault campaign %v seed %d: %w", p.pol, p.seedIdx, err)
-			}
-			return recs, nil
-		})
+	columns, err := runJobs(len(policies)*span, func(g int) ([]faultRun, error) {
+		pol, seedIdx := policies[g/span], lo+g%span
+		recs, err := c.runColumn(kinds, pol, seedIdx)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: fault campaign %v seed %d: %w", pol, seedIdx, err)
+		}
+		return recs, nil
+	})
 	if err != nil {
 		return FaultCampaignResult{}, err
 	}
@@ -301,7 +295,7 @@ func RunFaultCampaignRange(c FaultCampaignConfig, lo, hi int) (FaultCampaignResu
 		for pi, pol := range policies {
 			cell := FaultCell{Kind: k, Policy: pol, Seeds: span}
 			for s := 0; s < span; s++ {
-				rec := groups[pi*span+s][0][ki]
+				rec := columns[pi*span+s][ki]
 				if pol == PolicyOff {
 					truth[s] = rec.impact
 				}
@@ -334,23 +328,6 @@ func RunFaultCampaignRange(c FaultCampaignConfig, lo, hi int) (FaultCampaignResu
 	return out, nil
 }
 
-// fcPrefix is the shared product of one (policy, seed) group's prefix job:
-// the fork-point snapshot plus the observer state every kind's
-// continuation starts from.
-type fcPrefix struct {
-	crashed bool // the shared head panicked: every kind's run crashes
-	pol     GuardPolicy
-	seedIdx int
-	snap    sim.Snapshot
-	ref     []mathx.Vec3
-
-	// Observer state at the fork point (identical for every kind, since
-	// the head is fault-free physics).
-	maxDev float64
-	halted bool
-	step   int
-}
-
 // campaignPrefixSteps is the fork point: the last step at which every
 // scheduled fault is still provably dormant (two steps of margin before
 // the campaignFaultAt window opens).
@@ -358,49 +335,85 @@ func campaignPrefixSteps() int {
 	return int(campaignFaultAt/control.Period) - 2
 }
 
-// campaignPrefix simulates one (policy, seed) group's shared session head
-// under the dormant union plan and snapshots it. A panic means every run
-// of the group crashes (each kind would have computed the same head).
-func (c FaultCampaignConfig) campaignPrefix(kinds []fault.Kind, pol GuardPolicy, seedIdx int) (out fcPrefix, err error) {
-	out = fcPrefix{pol: pol, seedIdx: seedIdx}
+// runColumn runs one (policy, seed) column: the shared session head under
+// the dormant union plan, then one fork per kind, each scored on from the
+// head's deviation tracker. A panic in the head crashes every kind's run
+// (each would have computed the same head); a panic in a fork crashes only
+// its own kind's run. Construction and step errors propagate.
+func (c FaultCampaignConfig) runColumn(kinds []fault.Kind, pol GuardPolicy, seedIdx int) ([]faultRun, error) {
+	planSeed := c.BaseSeed*1000 + int64(seedIdx)
+	var (
+		snap sim.Snapshot
+		dev  deviation
+	)
+	crashed, err := recovered(func() error {
+		ref, err := (Trial{Seed: c.BaseSeed + int64(seedIdx), TrajIdx: 0, Teleop: c.Teleop}).reference()
+		if err != nil {
+			return err
+		}
+		union := fault.Plan{Seed: planSeed}
+		for _, k := range kinds {
+			union.Events = append(union.Events, campaignPlan(k, planSeed).Events...)
+		}
+		rig, _, _, err := c.campaignRig(union, pol, seedIdx)
+		if err != nil {
+			return err
+		}
+		dev = newDeviation(ref)
+		rig.Observe(dev.observe)
+		if _, err := rig.Run(campaignPrefixSteps()); err != nil {
+			return err
+		}
+		snap, err = rig.Snapshot()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	recs := make([]faultRun, len(kinds))
+	for i, k := range kinds {
+		rec := &recs[i]
+		if crashed {
+			rec.crashed = true
+			continue
+		}
+		fork := dev
+		rec.crashed, err = recovered(func() error {
+			rig, guard, inj, err := c.campaignRig(campaignPlan(k, planSeed), pol, seedIdx)
+			if err != nil {
+				return err
+			}
+			if err := rig.Restore(snap); err != nil {
+				return err
+			}
+			if err := runObserved(rig, fork.observe); err != nil {
+				return err
+			}
+			*rec = faultRun{
+				alarm:   guard != nil && guard.Alarms() > 0,
+				halted:  rig.PLC().EStopped() || rig.Controller().State() == statemachine.EStop,
+				impact:  fork.max > AdverseJumpThreshold,
+				maxDev:  fork.max,
+				applied: inj.Total(),
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return recs, nil
+}
+
+// recovered runs f, reporting a panic in it as crashed instead.
+func recovered(f func() error) (crashed bool, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			out = fcPrefix{crashed: true, pol: pol, seedIdx: seedIdx}
-			err = nil
+		if recover() != nil {
+			crashed, err = true, nil
 		}
 	}()
-
-	rigSeed := c.BaseSeed + int64(seedIdx)
-	out.ref, err = (Trial{Seed: rigSeed, TrajIdx: 0, Teleop: c.Teleop}).reference()
-	if err != nil {
-		return out, err
-	}
-
-	union := fault.Plan{Seed: c.BaseSeed*1000 + int64(seedIdx)}
-	for _, k := range kinds {
-		union.Events = append(union.Events, campaignPlan(k, union.Seed).Events...)
-	}
-	rig, _, _, err := c.campaignRig(union, pol, seedIdx)
-	if err != nil {
-		return out, err
-	}
-	ref := out.ref
-	rig.Observe(func(si sim.StepInfo) {
-		if !out.halted && out.step < len(ref) {
-			if d := si.TipTrue.DistanceTo(ref[out.step]); d > out.maxDev {
-				out.maxDev = d
-			}
-		}
-		if si.PLCEStop {
-			out.halted = true
-		}
-		out.step++
-	})
-	if _, err := rig.Run(campaignPrefixSteps()); err != nil {
-		return out, err
-	}
-	out.snap, err = rig.Snapshot()
-	return out, err
+	return false, f()
 }
 
 // campaignRig builds one campaign rig: guard per policy (applied first, so
@@ -432,75 +445,6 @@ func (c FaultCampaignConfig) campaignRig(plan fault.Plan, pol GuardPolicy, seedI
 		return nil, nil, nil, err
 	}
 	return rig, guard, inj, nil
-}
-
-// campaignFan forks one group's snapshot into a rig per fault kind and
-// runs each kind's continuation to the end of its session.
-func (c FaultCampaignConfig) campaignFan(kinds []fault.Kind, p fcPrefix) ([]faultRun, error) {
-	recs := make([]faultRun, len(kinds))
-	for i, k := range kinds {
-		if p.crashed {
-			recs[i] = faultRun{crashed: true}
-			continue
-		}
-		var err error
-		if recs[i], err = c.fanOne(k, p); err != nil {
-			return nil, err
-		}
-	}
-	return recs, nil
-}
-
-// fanContinue restores one kind's rig from the group snapshot and attaches
-// the continuation observer (seeded with the carried prefix state).
-func (c FaultCampaignConfig) fanContinue(k fault.Kind, p fcPrefix, rec *faultRun) (*sim.Rig, func(), error) {
-	plan := campaignPlan(k, c.BaseSeed*1000+int64(p.seedIdx))
-	rig, guard, inj, err := c.campaignRig(plan, p.pol, p.seedIdx)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := rig.Restore(p.snap); err != nil {
-		return nil, nil, err
-	}
-	rec.maxDev = p.maxDev
-	halted, step, ref := p.halted, p.step, p.ref
-	rig.Observe(func(si sim.StepInfo) {
-		if !halted && step < len(ref) {
-			if d := si.TipTrue.DistanceTo(ref[step]); d > rec.maxDev {
-				rec.maxDev = d
-			}
-		}
-		if si.PLCEStop {
-			halted = true
-		}
-		step++
-	})
-	finish := func() {
-		rec.applied = inj.Total()
-		rec.alarm = guard != nil && guard.Alarms() > 0
-		rec.halted = rig.PLC().EStopped() || rig.Controller().State() == statemachine.EStop
-		rec.impact = rec.maxDev > AdverseJumpThreshold
-	}
-	return rig, finish, nil
-}
-
-// fanOne runs one kind's continuation alone. Construction and step errors
-// propagate; a panic marks only this kind's run as crashed.
-func (c FaultCampaignConfig) fanOne(k fault.Kind, p fcPrefix) (rec faultRun, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rec, err = faultRun{crashed: true}, nil
-		}
-	}()
-	rig, finish, err := c.fanContinue(k, p, &rec)
-	if err != nil {
-		return faultRun{}, err
-	}
-	if _, err := rig.Run(0); err != nil {
-		return faultRun{}, err
-	}
-	finish()
-	return rec, nil
 }
 
 // mergeFaultCampaignResults combines the partial matrices of two adjacent

@@ -33,6 +33,8 @@ func TestFaultCampaignDeterministicAndCrashFree(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("campaign not reproducible:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
+	// amd64 digest.
+	requireDigest(t, first, "21d217f612dd01812172246d0ce9c4439c72af6b7ddcd1040adccde32bbe93ef")
 	if got := len(first.Cells); got != len(cfg.Kinds)*len(AllPolicies()) {
 		t.Fatalf("%d cells, want %d", got, len(cfg.Kinds)*len(AllPolicies()))
 	}

@@ -33,8 +33,8 @@ func TestFaultCampaignForkedMatchesStraight(t *testing.T) {
 }
 
 func TestFig6SeedIdenticalAcrossWorkerCounts(t *testing.T) {
-	// Fig 5/6 ride the two-level scheduler through runJobs; their nine
-	// captured sessions must not depend on the worker count.
+	// Fig 5/6 run their nine captured sessions as runJobs jobs; the
+	// captures must not depend on the worker count.
 	var results []Fig6Result
 	for _, workers := range []int{1, 8} {
 		withWorkers(t, workers, func() {
@@ -52,31 +52,34 @@ func TestFig6SeedIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestMitigationSweepMatchesPerValueComparisons(t *testing.T) {
-	values := []int16{12000, 20000}
+	// A one-value sweep runs its head rig on and takes no snapshot; a
+	// two-value sweep forks the second value off the head.
 	cfg := MitigationConfig{Attacks: 4, BaseSeed: 90}
-	for _, workers := range []int{1, 8} {
-		withWorkers(t, workers, func() {
-			ResetReferenceCache()
-			straight := make([]MitigationResult, len(values))
-			for vi, v := range values {
-				vcfg := cfg
-				vcfg.Value = v
-				r, err := RunMitigationComparison(vcfg)
-				if err != nil {
-					t.Fatalf("workers=%d: comparison value=%d: %v", workers, v, err)
+	for _, values := range [][]int16{{12000, 20000}, {16000}} {
+		for _, workers := range []int{1, 8} {
+			withWorkers(t, workers, func() {
+				ResetReferenceCache()
+				straight := make([]MitigationResult, len(values))
+				for vi, v := range values {
+					vcfg := cfg
+					vcfg.Value = v
+					r, err := runMitigationStraight(vcfg)
+					if err != nil {
+						t.Fatalf("values=%v workers=%d: comparison value=%d: %v", values, workers, v, err)
+					}
+					straight[vi] = r
 				}
-				straight[vi] = r
-			}
-			ResetReferenceCache()
-			swept, err := RunMitigationSweep(values, cfg)
-			if err != nil {
-				t.Fatalf("workers=%d: sweep: %v", workers, err)
-			}
-			if !reflect.DeepEqual(straight, swept) {
-				t.Fatalf("workers=%d: sweep diverged from per-value comparisons\nstraight: %+v\nswept:    %+v",
-					workers, straight, swept)
-			}
-		})
+				ResetReferenceCache()
+				swept, err := RunMitigationSweep(values, cfg)
+				if err != nil {
+					t.Fatalf("values=%v workers=%d: sweep: %v", values, workers, err)
+				}
+				if !reflect.DeepEqual(straight, swept) {
+					t.Fatalf("values=%v workers=%d: sweep diverged from per-value comparisons\nstraight: %+v\nswept:    %+v",
+						values, workers, straight, swept)
+				}
+			})
+		}
 	}
 }
 

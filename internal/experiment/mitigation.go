@@ -19,7 +19,8 @@ import (
 type MitigationConfig struct {
 	// Attacks per arm (default 60).
 	Attacks int
-	// Value/Duration of the scenario-B attack used for the comparison.
+	// Value/Duration of the scenario-B attack used for the comparison
+	// (Value is the sweep's value when it is given none).
 	Value    int16
 	Duration int
 	BaseSeed int64
@@ -72,83 +73,6 @@ type mitigationRun struct {
 	completed bool    // session finished without E-STOP
 }
 
-// runMitigationOne attacks one session under one guard mode (0 = no
-// guard).
-func runMitigationOne(cfg MitigationConfig, mode core.Mode, i int) (mitigationRun, error) {
-	trial := Trial{Seed: cfg.BaseSeed + int64(8000+i%37), TrajIdx: i % 2}
-	ref, err := trial.reference()
-	if err != nil {
-		return mitigationRun{}, err
-	}
-
-	simCfg := sim.Config{
-		Seed:   trial.Seed,
-		Script: trial.script(),
-		Traj:   trial.trajectory(),
-	}
-	inj, err := inject.NewScenarioB(inject.ScenarioBParams{
-		Value:           cfg.Value,
-		Channel:         i % 3,
-		StartDelayTicks: 500 + 53*(i%31),
-		ActivationTicks: cfg.Duration,
-		Seed:            int64(i),
-	})
-	if err != nil {
-		return mitigationRun{}, err
-	}
-	simCfg.Preload = append(simCfg.Preload, inj)
-
-	if mode != 0 {
-		guard, err := core.NewGuard(core.Config{
-			Thresholds: core.DefaultThresholds(),
-			Mode:       mode,
-		})
-		if err != nil {
-			return mitigationRun{}, err
-		}
-		simCfg.Guards = append(simCfg.Guards, guard)
-	}
-
-	rig, err := sim.New(simCfg)
-	if err != nil {
-		return mitigationRun{}, err
-	}
-	var (
-		rec    mitigationRun
-		step   int
-		halted bool
-		// devRing holds the recent deviation vectors for the windowed
-		// jump measure.
-		devRing [jumpWindowTicks]mathx.Vec3
-	)
-	rig.Observe(func(si sim.StepInfo) {
-		// Measure only while the system is live: after a halt the
-		// reference keeps moving while the robot is frozen, which is
-		// divergence, not motion.
-		if !halted && step < len(ref) {
-			dev := si.TipTrue.Sub(ref[step])
-			if lag := dev.Norm(); lag > rec.maxLag {
-				rec.maxLag = lag
-			}
-			if step >= jumpWindowTicks {
-				if j := dev.Sub(devRing[step%jumpWindowTicks]).Norm(); j > rec.maxJump {
-					rec.maxJump = j
-				}
-			}
-			devRing[step%jumpWindowTicks] = dev
-		}
-		if si.PLCEStop {
-			halted = true
-		}
-		step++
-	})
-	if _, err := rig.Run(0); err != nil {
-		return mitigationRun{}, err
-	}
-	rec.completed = !rig.PLC().EStopped() && rig.Controller().State() != statemachine.EStop
-	return rec, nil
-}
-
 // mitigationArms lists the compared regimes, in reporting order.
 var mitigationArms = []struct {
 	name string
@@ -159,89 +83,52 @@ var mitigationArms = []struct {
 	{"guard: hold-last-safe", core.ModeHoldSafe},
 }
 
-// RunMitigationComparison attacks identical sessions under three regimes:
-// no guard (RAVEN's built-in response only), guard with E-STOP mitigation,
-// and guard with hold-last-safe mitigation. All (arm, attack) sessions fan
-// out onto the worker pool; each arm's statistics reduce in attack order.
-func RunMitigationComparison(cfg MitigationConfig) (MitigationResult, error) {
-	cfg.applyDefaults()
-	out := MitigationResult{Config: cfg}
-	arms := mitigationArms
-	recs, err := runJobs(len(arms)*cfg.Attacks, func(i int) (mitigationRun, error) {
-		return runMitigationOne(cfg, arms[i/cfg.Attacks].mode, i%cfg.Attacks)
-	})
-	if err != nil {
-		return MitigationResult{}, err
-	}
-
-	for ai, armSpec := range arms {
-		arm := MitigationArm{Name: armSpec.name}
-		jumps, completions := 0, 0
-		// Lag/Jump reduce through the index-aligned forest (not a left
-		// fold), so sharded sweeps merge to the same bits — see
-		// stats.Forest.
-		lags, jumpSizes := stats.NewForest(0), stats.NewForest(0)
-		for i := 0; i < cfg.Attacks; i++ {
-			rec := recs[ai*cfg.Attacks+i]
-			if rec.maxJump > AdverseJumpThreshold {
-				jumps++
-			}
-			if rec.completed {
-				completions++
-			}
-			lags.Add(rec.maxLag * 1e3)
-			jumpSizes.Add(rec.maxJump * 1e3)
-		}
-		arm.JumpRate = float64(jumps) / float64(cfg.Attacks)
-		arm.CompletionRate = float64(completions) / float64(cfg.Attacks)
-		arm.Lag = lags.Summarize()
-		arm.Jump = jumpSizes.Summarize()
-		out.Arms = append(out.Arms, arm)
-	}
-	return out, nil
-}
-
 // mitigationPrefixSteps is the sweep's fork point: 3.0 s. The earliest
 // scenario-B activation is 500 triggered (pedal-down) frames after the
 // pedal drops at ~2.55 s, i.e. ~3.05 s — so at 3.0 s every injector is
 // still dormant and the session head is independent of the attack value.
 const mitigationPrefixSteps = 3000
 
-// mitState is the windowed-jump observer's carried state.
-type mitState struct {
-	halted  bool
-	step    int
-	devRing [jumpWindowTicks]mathx.Vec3
+// jumpTracker adds the sweep's windowed jump oracle to the deviation
+// tracker: the peak change of the deviation vector within
+// jumpWindowTicks. It is a plain value like the tracker (its ring copies
+// with it).
+type jumpTracker struct {
+	dev     deviation
+	maxJump float64
+	ring    [jumpWindowTicks]mathx.Vec3
 }
 
-// observeMitigation attaches the lag/jump observer, resuming from the
-// carried state (st and rec mutate in place).
-func observeMitigation(rig *sim.Rig, ref []mathx.Vec3, st *mitState, rec *mitigationRun) {
-	rig.Observe(func(si sim.StepInfo) {
-		// Measure only while the system is live: after a halt the
-		// reference keeps moving while the robot is frozen, which is
-		// divergence, not motion.
-		if !st.halted && st.step < len(ref) {
-			dev := si.TipTrue.Sub(ref[st.step])
-			if lag := dev.Norm(); lag > rec.maxLag {
-				rec.maxLag = lag
-			}
-			if st.step >= jumpWindowTicks {
-				if j := dev.Sub(st.devRing[st.step%jumpWindowTicks]).Norm(); j > rec.maxJump {
-					rec.maxJump = j
-				}
-			}
-			st.devRing[st.step%jumpWindowTicks] = dev
+// observe scores one step; it is a sim.Observer.
+func (j *jumpTracker) observe(si sim.StepInfo) {
+	step := j.dev.step
+	v, ok := j.dev.next(si)
+	if !ok {
+		return
+	}
+	if step >= jumpWindowTicks {
+		if d := v.Sub(j.ring[step%jumpWindowTicks]).Norm(); d > j.maxJump {
+			j.maxJump = d
 		}
-		if si.PLCEStop {
-			st.halted = true
-		}
-		st.step++
-	})
+	}
+	j.ring[step%jumpWindowTicks] = v
+}
+
+// finish runs rig, observed by j, to the end of its session and reads off
+// its record.
+func (j *jumpTracker) finish(rig *sim.Rig) (mitigationRun, error) {
+	if _, err := rig.Run(0); err != nil {
+		return mitigationRun{}, err
+	}
+	return mitigationRun{
+		maxLag:    j.dev.max,
+		maxJump:   j.maxJump,
+		completed: !rig.PLC().EStopped() && rig.Controller().State() != statemachine.EStop,
+	}, nil
 }
 
 // mitigationSessionRig builds one attacked session rig with the given
-// injection value (mirrors runMitigationOne's construction).
+// injection value.
 func mitigationSessionRig(cfg MitigationConfig, mode core.Mode, i int, value int16) (*sim.Rig, error) {
 	trial := Trial{Seed: cfg.BaseSeed + int64(8000+i%37), TrajIdx: i % 2}
 	simCfg := sim.Config{
@@ -273,19 +160,6 @@ func mitigationSessionRig(cfg MitigationConfig, mode core.Mode, i int, value int
 	return sim.New(simCfg)
 }
 
-// mitPrefix is one (arm, attack) group's shared session head. The rig it
-// simulated the head on is carried along (with its observer state, held by
-// pointer so the fan sees the prefix observer's writes): the rig was built
-// with values[0] and already sits at the fork state, so the fan continues
-// it as the first fork instead of building and restoring a fresh rig.
-type mitPrefix struct {
-	rig  *sim.Rig
-	snap sim.Snapshot
-	ref  []mathx.Vec3
-	rec  *mitigationRun // partial lag/jump maxima at the fork point
-	st   *mitState
-}
-
 // MitigationSweepJobs is the size of the sweep's shardable job space: one
 // job per attack index (each covering every arm × value session).
 func MitigationSweepJobs(cfg MitigationConfig) int {
@@ -312,15 +186,19 @@ type MitigationPartial struct {
 	Arms   []MitigationArmPartial `json:"arms"`
 }
 
-// RunMitigationSweep runs the mitigation comparison for several attack
-// values at once, returning one MitigationResult per value (in input
-// order), byte-identical to calling RunMitigationComparison per value.
+// RunMitigationSweep runs the mitigation-strategy comparison for several
+// attack values at once, returning one MitigationResult per value (in
+// input order). It attacks identical sessions under three regimes: no
+// guard (RAVEN's built-in response only), guard with E-STOP mitigation,
+// and guard with hold-last-safe mitigation.
 //
 // The attacked sessions differ across values only in the value the
 // injector writes once it activates — and every injector is still dormant
-// at mitigationPrefixSteps — so each (arm, attack) session head is
-// simulated once, snapshotted, and forked into one rig per value; each
-// fork then runs to the end of its session with Rig.Run.
+// at mitigationPrefixSteps — so each (arm, attack) pair is one job: it
+// simulates the session head once on the first value's rig, runs that rig
+// on as the first value's session, and forks one rig per further value
+// off the head's snapshot. Results are byte-identical to running every
+// session whole from t=0.
 func RunMitigationSweep(values []int16, cfg MitigationConfig) ([]MitigationResult, error) {
 	cfg.applyDefaults()
 	p, err := RunMitigationSweepRange(values, cfg, 0, cfg.Attacks)
@@ -346,64 +224,9 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 	if span == 0 {
 		return out, nil
 	}
-	groups, err := runGroups(len(arms)*span,
-		func(g int) (mitPrefix, error) {
-			mode, i := arms[g/span].mode, lo+g%span
-			trial := Trial{Seed: cfg.BaseSeed + int64(8000+i%37), TrajIdx: i % 2}
-			p := mitPrefix{rec: &mitigationRun{}, st: &mitState{}}
-			ref, err := trial.reference()
-			if err != nil {
-				return p, err
-			}
-			p.ref = ref
-			rig, err := mitigationSessionRig(cfg, mode, i, values[0])
-			if err != nil {
-				return p, err
-			}
-			observeMitigation(rig, ref, p.st, p.rec)
-			if _, err := rig.Run(mitigationPrefixSteps); err != nil {
-				return p, err
-			}
-			p.rig = rig
-			if len(values) > 1 {
-				p.snap, err = rig.Snapshot()
-			}
-			return p, err
-		},
-		func(int) int { return 1 },
-		func(g, _ int, p mitPrefix) ([]mitigationRun, error) {
-			mode, i := arms[g/span].mode, lo+g%span
-			rigs := make([]*sim.Rig, len(values))
-			recs := make([]mitigationRun, len(values))
-			states := make([]mitState, len(values))
-			// The prefix rig was built with values[0] and is already at the
-			// fork state: continue it as fork 0 (its observer keeps writing
-			// into p.rec/p.st). The remaining values fork via the snapshot.
-			rigs[0] = p.rig
-			for vi := 1; vi < len(values); vi++ {
-				rig, err := mitigationSessionRig(cfg, mode, i, values[vi])
-				if err != nil {
-					return nil, err
-				}
-				if err := rig.Restore(p.snap); err != nil {
-					return nil, err
-				}
-				recs[vi] = *p.rec
-				states[vi] = *p.st // arrays copy by value: each fork owns its ring
-				observeMitigation(rig, p.ref, &states[vi], &recs[vi])
-				rigs[vi] = rig
-			}
-			for _, rig := range rigs {
-				if _, err := rig.Run(0); err != nil {
-					return nil, err
-				}
-			}
-			recs[0] = *p.rec
-			for vi, rig := range rigs {
-				recs[vi].completed = !rig.PLC().EStopped() && rig.Controller().State() != statemachine.EStop
-			}
-			return recs, nil
-		})
+	runs, err := runJobs(len(arms)*span, func(g int) ([]mitigationRun, error) {
+		return runMitigationAttack(cfg, values, arms[g/span].mode, lo+g%span)
+	})
 	if err != nil {
 		return MitigationPartial{}, err
 	}
@@ -421,7 +244,7 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 		for ai := range arms {
 			cell := &out.Arms[vi*len(arms)+ai]
 			for s := 0; s < span; s++ {
-				rec := groups[ai*span+s][0][vi]
+				rec := runs[ai*span+s][vi]
 				if rec.maxJump > AdverseJumpThreshold {
 					cell.Jumps++
 				}
@@ -434,6 +257,52 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 		}
 	}
 	return out, nil
+}
+
+// runMitigationAttack runs attack i under one guard mode at every value:
+// the session head on values[0]'s rig, which then runs on as that value's
+// session, and one fork per further value off the head's snapshot (taken
+// only when there is one).
+func runMitigationAttack(cfg MitigationConfig, values []int16, mode core.Mode, i int) ([]mitigationRun, error) {
+	ref, err := (Trial{Seed: cfg.BaseSeed + int64(8000+i%37), TrajIdx: i % 2}).reference()
+	if err != nil {
+		return nil, err
+	}
+	rig, err := mitigationSessionRig(cfg, mode, i, values[0])
+	if err != nil {
+		return nil, err
+	}
+	head := jumpTracker{dev: newDeviation(ref)}
+	rig.Observe(head.observe)
+	if _, err := rig.Run(mitigationPrefixSteps); err != nil {
+		return nil, err
+	}
+	var snap sim.Snapshot
+	if len(values) > 1 {
+		if snap, err = rig.Snapshot(); err != nil {
+			return nil, err
+		}
+	}
+	atFork := head
+	runs := make([]mitigationRun, len(values))
+	if runs[0], err = head.finish(rig); err != nil {
+		return nil, err
+	}
+	for vi := 1; vi < len(values); vi++ {
+		fork, err := mitigationSessionRig(cfg, mode, i, values[vi])
+		if err != nil {
+			return nil, err
+		}
+		if err := fork.Restore(snap); err != nil {
+			return nil, err
+		}
+		jt := atFork
+		fork.Observe(jt.observe)
+		if runs[vi], err = jt.finish(fork); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
 }
 
 // mergeMitigationPartials combines the partial grids of two adjacent

@@ -3,6 +3,7 @@ package experiment
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // The campaign worker pool. Every campaign in this package decomposes into
@@ -39,134 +40,40 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runGroups executes a two-level job plan: `groups` independent groups,
-// each with one prefix job producing a shared value P, followed by
-// fanCount(g) fan-out jobs that consume that value. Fan-out jobs become
-// schedulable the moment their group's prefix completes, so groups
-// pipeline freely across the pool; results land [group][fan] indexed, so a
-// campaign's output is seed-identical at any worker count.
-//
-// This is the shape of a snapshot-forking campaign: the prefix job runs
-// the shared session head once and snapshots it, the fan jobs fork the
-// snapshot into per-variant continuations.
-//
-// First error aborts the plan: no new jobs are scheduled once one has
-// failed (in-flight jobs finish), and the error of the lowest-indexed job
-// (group-major, prefix before its fans) is returned.
-func runGroups[P, T any](groups int, prefix func(g int) (P, error), fanCount func(g int) int, fan func(g, j int, p P) (T, error)) ([][]T, error) {
-	prefixes := make([]P, groups)
-	prefixErrs := make([]error, groups)
-	results := make([][]T, groups)
-	fanErrs := make([][]error, groups)
-	totalJobs := groups
-	for g := 0; g < groups; g++ {
-		n := fanCount(g)
-		if n < 0 {
-			n = 0
-		}
-		results[g] = make([]T, n)
-		fanErrs[g] = make([]error, n)
-		totalJobs += n
-	}
-
-	workers := Workers()
-	if workers > totalJobs {
-		workers = totalJobs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	type fanJob struct{ g, j int }
+// runJobs executes n independent jobs on the pool and returns their
+// results in input order. Each job must derive everything it needs from
+// its index (fixed job order is what makes campaigns deterministic). The
+// first error stops the batch: no job starts after it (running jobs
+// finish), and the error of the lowest-indexed failed job is returned.
+func runJobs[T any](n int, run func(i int) (T, error)) ([]T, error) {
+	results := make([]T, n)
+	errs := make([]error, n)
 	var (
-		wg         sync.WaitGroup
-		mu         sync.Mutex
-		cond       = sync.NewCond(&mu)
-		nextPrefix int
-		inFlight   int // prefix jobs running (their fans are not queued yet)
-		ready      []fanJob
-		failed     bool
+		wg     sync.WaitGroup
+		next   atomic.Int64
+		failed atomic.Bool
 	)
+	workers := min(Workers(), n)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			mu.Lock()
-			defer mu.Unlock()
-			for {
-				switch {
-				case failed:
-					cond.Broadcast()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
-				case len(ready) > 0:
-					job := ready[0]
-					ready = ready[1:]
-					p := prefixes[job.g]
-					mu.Unlock()
-					res, err := fan(job.g, job.j, p)
-					mu.Lock()
-					results[job.g][job.j] = res
-					if fanErrs[job.g][job.j] = err; err != nil {
-						failed = true
-						cond.Broadcast()
-					}
-				case nextPrefix < groups:
-					g := nextPrefix
-					nextPrefix++
-					inFlight++
-					mu.Unlock()
-					p, err := prefix(g)
-					mu.Lock()
-					prefixes[g] = p
-					inFlight--
-					if prefixErrs[g] = err; err != nil {
-						failed = true
-					} else {
-						for j := range results[g] {
-							ready = append(ready, fanJob{g, j})
-						}
-					}
-					cond.Broadcast()
-				case inFlight > 0:
-					// A running prefix may still enqueue fan jobs.
-					cond.Wait()
-				default:
-					cond.Broadcast()
-					return
+				}
+				if results[i], errs[i] = run(i); errs[i] != nil {
+					failed.Store(true)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for g := 0; g < groups; g++ {
-		if prefixErrs[g] != nil {
-			return nil, prefixErrs[g]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		for _, err := range fanErrs[g] {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return results, nil
-}
-
-// runJobs executes n independent jobs concurrently and returns their
-// results in input order: a degenerate one-level plan (every group is a
-// bare prefix with a single trivial fan). Each job must derive everything
-// it needs from its index (fixed job order is what makes campaigns
-// deterministic). First error aborts the batch as in runGroups.
-func runJobs[T any](n int, run func(i int) (T, error)) ([]T, error) {
-	grouped, err := runGroups(n,
-		func(g int) (struct{}, error) { return struct{}{}, nil },
-		func(int) int { return 1 },
-		func(g, _ int, _ struct{}) (T, error) { return run(g) })
-	if err != nil {
-		return nil, err
-	}
-	results := make([]T, n)
-	for i, gr := range grouped {
-		results[i] = gr[0]
 	}
 	return results, nil
 }

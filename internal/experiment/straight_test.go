@@ -7,8 +7,10 @@ import (
 	"ravenguard/internal/core"
 	"ravenguard/internal/fault"
 	"ravenguard/internal/inject"
+	"ravenguard/internal/mathx"
 	"ravenguard/internal/sim"
 	"ravenguard/internal/statemachine"
+	"ravenguard/internal/stats"
 	"ravenguard/internal/trajectory"
 )
 
@@ -272,4 +274,126 @@ func runFaultCampaignStraight(c FaultCampaignConfig) (FaultCampaignResult, error
 		}
 	}
 	return out, nil
+}
+
+// runMitigationStraight is the pre-forking mitigation comparison: it
+// attacks identical sessions under three regimes — no guard (RAVEN's
+// built-in response only), guard with E-STOP mitigation, and guard with
+// hold-last-safe mitigation — every (arm, attack) session whole from t=0
+// on the worker pool; each arm's statistics reduce in attack order. Kept
+// as the byte-identity oracle of RunMitigationSweep and the "before" side
+// of its benchmark.
+func runMitigationStraight(cfg MitigationConfig) (MitigationResult, error) {
+	cfg.applyDefaults()
+	out := MitigationResult{Config: cfg}
+	arms := mitigationArms
+	recs, err := runJobs(len(arms)*cfg.Attacks, func(i int) (mitigationRun, error) {
+		return runMitigationOne(cfg, arms[i/cfg.Attacks].mode, i%cfg.Attacks)
+	})
+	if err != nil {
+		return MitigationResult{}, err
+	}
+
+	for ai, armSpec := range arms {
+		arm := MitigationArm{Name: armSpec.name}
+		jumps, completions := 0, 0
+		// Lag/Jump reduce through the index-aligned forest (not a left
+		// fold), so sharded sweeps merge to the same bits — see
+		// stats.Forest.
+		lags, jumpSizes := stats.NewForest(0), stats.NewForest(0)
+		for i := 0; i < cfg.Attacks; i++ {
+			rec := recs[ai*cfg.Attacks+i]
+			if rec.maxJump > AdverseJumpThreshold {
+				jumps++
+			}
+			if rec.completed {
+				completions++
+			}
+			lags.Add(rec.maxLag * 1e3)
+			jumpSizes.Add(rec.maxJump * 1e3)
+		}
+		arm.JumpRate = float64(jumps) / float64(cfg.Attacks)
+		arm.CompletionRate = float64(completions) / float64(cfg.Attacks)
+		arm.Lag = lags.Summarize()
+		arm.Jump = jumpSizes.Summarize()
+		out.Arms = append(out.Arms, arm)
+	}
+	return out, nil
+}
+
+// runMitigationOne attacks one session under one guard mode (0 = no
+// guard).
+func runMitigationOne(cfg MitigationConfig, mode core.Mode, i int) (mitigationRun, error) {
+	trial := Trial{Seed: cfg.BaseSeed + int64(8000+i%37), TrajIdx: i % 2}
+	ref, err := trial.reference()
+	if err != nil {
+		return mitigationRun{}, err
+	}
+
+	simCfg := sim.Config{
+		Seed:   trial.Seed,
+		Script: trial.script(),
+		Traj:   trial.trajectory(),
+	}
+	inj, err := inject.NewScenarioB(inject.ScenarioBParams{
+		Value:           cfg.Value,
+		Channel:         i % 3,
+		StartDelayTicks: 500 + 53*(i%31),
+		ActivationTicks: cfg.Duration,
+		Seed:            int64(i),
+	})
+	if err != nil {
+		return mitigationRun{}, err
+	}
+	simCfg.Preload = append(simCfg.Preload, inj)
+
+	if mode != 0 {
+		guard, err := core.NewGuard(core.Config{
+			Thresholds: core.DefaultThresholds(),
+			Mode:       mode,
+		})
+		if err != nil {
+			return mitigationRun{}, err
+		}
+		simCfg.Guards = append(simCfg.Guards, guard)
+	}
+
+	rig, err := sim.New(simCfg)
+	if err != nil {
+		return mitigationRun{}, err
+	}
+	var (
+		rec    mitigationRun
+		step   int
+		halted bool
+		// devRing holds the recent deviation vectors for the windowed
+		// jump measure.
+		devRing [jumpWindowTicks]mathx.Vec3
+	)
+	rig.Observe(func(si sim.StepInfo) {
+		// Measure only while the system is live: after a halt the
+		// reference keeps moving while the robot is frozen, which is
+		// divergence, not motion.
+		if !halted && step < len(ref) {
+			dev := si.TipTrue.Sub(ref[step])
+			if lag := dev.Norm(); lag > rec.maxLag {
+				rec.maxLag = lag
+			}
+			if step >= jumpWindowTicks {
+				if j := dev.Sub(devRing[step%jumpWindowTicks]).Norm(); j > rec.maxJump {
+					rec.maxJump = j
+				}
+			}
+			devRing[step%jumpWindowTicks] = dev
+		}
+		if si.PLCEStop {
+			halted = true
+		}
+		step++
+	})
+	if _, err := rig.Run(0); err != nil {
+		return mitigationRun{}, err
+	}
+	rec.completed = !rig.PLC().EStopped() && rig.Controller().State() != statemachine.EStop
+	return rec, nil
 }

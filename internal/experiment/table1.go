@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"ravenguard/internal/console"
 	"ravenguard/internal/inject"
-	"ravenguard/internal/mathx"
 	"ravenguard/internal/sim"
 	"ravenguard/internal/statemachine"
-	"ravenguard/internal/trajectory"
 )
 
 // Table1Row is one attack variant and its observed impact, reproduced live.
@@ -36,12 +33,12 @@ func Table1Jobs() int { return len(inject.AllVariants()) }
 // RunTable1 executes every Table I variant against a standard session and
 // classifies the observed impact the way the paper's Table I reports them.
 //
-// Each variant is one group on the two-level plan: the prefix job
-// simulates the attacked session once up to the variant's activation point
-// (where the attack is still provably inert, so the head is shared physics)
-// and snapshots it; the fan jobs fork the snapshot into the fault-free
-// reference continuation and the attacked continuation. Rows are
-// byte-identical to running each session straight through.
+// Each variant is one job: it simulates the attacked session up to the
+// variant's activation point (where the attack is still provably inert, so
+// the head is the fault-free session's own), snapshots it there and forks
+// the fault-free reference tail off the snapshot the way Trial.Run does,
+// then continues the attacked session, scored against the reference as it
+// runs. Rows are byte-identical to running each session straight through.
 func RunTable1(baseSeed int64) (Table1Result, error) {
 	return RunTable1Range(baseSeed, 0, Table1Jobs())
 }
@@ -59,154 +56,67 @@ func RunTable1Range(baseSeed int64, lo, hi int) (Table1Result, error) {
 	if len(variants) == 0 {
 		return Table1Result{}, nil
 	}
-	type prefixOut struct {
-		rig       *sim.Rig // the attacked rig, paused at the fork point
-		snap      sim.Snapshot
-		steps     *[]table1Step
-		installed string
-		seed      int64
-	}
-	type fanOut struct {
-		refTail []mathx.Vec3
-		row     Table1Row
-		steps   *[]table1Step
-	}
-	groups, err := runGroups(len(variants),
-		func(g int) (prefixOut, error) {
-			v := variants[g]
-			cfg := sim.Config{
-				Seed:   baseSeed + int64(v),
-				Script: console.StandardScript(6),
-				Traj:   trajectory.Standard()[0],
-			}
-			vc := inject.VariantConfig{Variant: v, StartAt: 4.0, Seed: int64(v)}
-			installed, err := vc.Apply(&cfg)
-			if err != nil {
-				return prefixOut{}, err
-			}
-			rig, err := sim.New(cfg)
-			if err != nil {
-				return prefixOut{}, err
-			}
-			buf := make([]table1Step, 0, table1SessionCap)
-			steps := &buf
-			observeTable1(rig, steps)
-			if _, err := rig.Run(table1PrefixSteps(v)); err != nil {
-				return prefixOut{}, err
-			}
-			snap, err := rig.Snapshot()
-			if err != nil {
-				return prefixOut{}, err
-			}
-			return prefixOut{rig: rig, snap: snap, steps: steps, installed: installed, seed: cfg.Seed}, nil
-		},
-		func(int) int { return 2 },
-		func(g, j int, p prefixOut) (fanOut, error) {
-			if j == 0 {
-				// Fork the fault-free reference off the dormant prefix: the
-				// snapshot's extra attack-component states are ignored.
-				refRig, err := sim.New(sim.Config{
-					Seed:   p.seed,
-					Script: console.StandardScript(6),
-					Traj:   trajectory.Standard()[0],
-				})
-				if err != nil {
-					return fanOut{}, err
-				}
-				if err := refRig.Restore(p.snap); err != nil {
-					return fanOut{}, err
-				}
-				tail := make([]mathx.Vec3, 0, table1SessionCap)
-				refRig.Observe(func(si sim.StepInfo) { tail = append(tail, si.TipTrue) })
-				if _, err := refRig.Run(0); err != nil {
-					return fanOut{}, err
-				}
-				return fanOut{refTail: tail}, nil
-			}
-			// Continue the attacked session to the end of the script.
-			if _, err := p.rig.Run(0); err != nil {
-				return fanOut{}, err
-			}
-			return fanOut{
-				steps: p.steps,
-				row: Table1Row{
-					Variant:     variants[g],
-					Installed:   p.installed,
-					FinalState:  p.rig.Controller().State(),
-					IKFails:     p.rig.Controller().IKFails(),
-					SafetyTrips: p.rig.Controller().SafetyTrips(),
-					PLCEStopped: p.rig.PLC().EStopped(),
-				},
-			}, nil
-		})
+	rows, err := runJobs(len(variants), func(i int) (Table1Row, error) {
+		return runTable1Variant(baseSeed, variants[i])
+	})
 	if err != nil {
 		return Table1Result{}, err
 	}
-
-	rows := make([]Table1Row, len(variants))
-	for g, fans := range groups {
-		v := variants[g]
-		row := fans[1].row
-		steps := *fans[1].steps
-		pre := table1PrefixSteps(v)
-		// The attacked prefix IS the reference prefix (the attack was
-		// inert), so the full reference is prefix tips + forked tail.
-		ref := make([]mathx.Vec3, 0, pre+len(fans[0].refTail))
-		for _, s := range steps[:pre] {
-			ref = append(ref, s.tip)
-		}
-		ref = append(ref, fans[0].refTail...)
-		storeReference(refKey{seed: baseSeed + int64(v), trajIdx: 0, teleop: 6}, ref)
-
-		halted := false
-		brakedInDown := 0
-		for i, s := range steps {
-			if !halted && i < len(ref) {
-				if d := s.tip.DistanceTo(ref[i]); d > row.MaxDevMM/1e3 {
-					row.MaxDevMM = d * 1e3
-				}
-			}
-			if s.plcEStop {
-				halted = true
-			}
-			if s.downAndBraked {
-				brakedInDown++
-			}
-		}
-		row.Impact = classifyImpact(row, brakedInDown)
-		rows[g] = row
-	}
 	return Table1Result{Rows: rows}, nil
+}
+
+// runTable1Variant runs one variant's session and classifies its impact.
+func runTable1Variant(baseSeed int64, v inject.Variant) (Table1Row, error) {
+	// The variant's fault-free twin: its reference is Table I's.
+	tr := Trial{Seed: baseSeed + int64(v), Teleop: 6}
+	cfg := tr.config()
+	vc := inject.VariantConfig{Variant: v, StartAt: 4.0, Seed: int64(v)}
+	installed, err := vc.Apply(&cfg)
+	if err != nil {
+		return Table1Row{}, err
+	}
+	rig, err := sim.New(cfg)
+	if err != nil {
+		return Table1Row{}, err
+	}
+	dev := newHeadDeviation(tr.sessionSteps())
+	brakedInDown := 0
+	rig.Observe(func(si sim.StepInfo) {
+		dev.observe(si)
+		if si.Ctrl.State == statemachine.PedalDown && rig.PLC().BrakesEngaged() {
+			brakedInDown++
+		}
+	})
+	if _, err := rig.Run(table1PrefixSteps(v)); err != nil {
+		return Table1Row{}, err
+	}
+	snap, err := snapshotHead(rig)
+	if err != nil {
+		return Table1Row{}, err
+	}
+	if _, err := tr.forkReference(&dev, snap); err != nil {
+		return Table1Row{}, err
+	}
+	if _, err := rig.Run(0); err != nil {
+		return Table1Row{}, err
+	}
+	row := Table1Row{
+		Variant:     v,
+		Installed:   installed,
+		FinalState:  rig.Controller().State(),
+		MaxDevMM:    dev.max * 1e3,
+		IKFails:     rig.Controller().IKFails(),
+		SafetyTrips: rig.Controller().SafetyTrips(),
+		PLCEStopped: rig.PLC().EStopped(),
+	}
+	row.Impact = classifyImpact(row, brakedInDown)
+	return row, nil
 }
 
 // mergeTable1Results concatenates the partial tables of two adjacent
 // variant ranges.
 func mergeTable1Results(a, b Table1Result) (Table1Result, error) {
 	return Table1Result{Rows: append(append([]Table1Row{}, a.Rows...), b.Rows...)}, nil
-}
-
-// table1SessionCap bounds the step count of one 6 s Table I session
-// (~975 steps/s), so the step and reference-tail recorders allocate once
-// instead of regrowing through the run.
-const table1SessionCap = 6200
-
-// table1Step is one observed step of an attacked session, recorded so the
-// row can be classified once the reference trace is assembled.
-type table1Step struct {
-	tip           mathx.Vec3
-	plcEStop      bool
-	downAndBraked bool
-}
-
-// observeTable1 records the per-step observables row classification needs.
-func observeTable1(rig *sim.Rig, steps *[]table1Step) {
-	rig.Observe(func(si sim.StepInfo) {
-		*steps = append(*steps, table1Step{
-			tip:           si.TipTrue,
-			plcEStop:      si.PLCEStop,
-			downAndBraked: si.Ctrl.State == statemachine.PedalDown && rig.PLC().BrakesEngaged(),
-		})
-	})
 }
 
 // table1PrefixSteps is how many steps of a variant's session are provably

@@ -181,17 +181,20 @@ echo "==> fleet equivalence guard"
 go test -run 'TestGuardBatchMatchesScalarAcrossEdges|TestFleetMatchesStandaloneAnyWorkerCount' -count 1 ./internal/fleet/
 go test -run 'TestFleetTickDoesNotAllocate' -count 1 .
 
-# Trial-fork equivalence guard: Trial.Run forks every attack trial's
-# reference, counterfactual and scored sessions off one shared session
-# head, runs the counterfactual tail only when the scored run tripped a
-# check, and must stay bit-identical per trial to the straight oracle that
-# simulates all three from t=0 — Table IV and Fig 9 trials over cold and
-# warm reference keys (Table IV's set covers a reused and a forked tail in
-# each scenario), every ablation knob, the fork-point edges, and the
-# reference trace a forked trial publishes to the cache.
-stage="trial-fork equivalence guard"
-echo "==> trial-fork equivalence guard"
-go test -run 'TestTable4ForkedMatchesStraight|TestFig9ForkedMatchesStraight|TestAblationTrialsForkedMatchStraight|TestTrialForkEdgesMatchStraight|TestForkedTrialPublishesReference' \
+# Fork equivalence guard: every campaign that forks sessions off a shared
+# head must stay bit-identical to its straight oracle, which simulates
+# every session from t=0. Trial.Run forks every attack trial's reference,
+# counterfactual and scored sessions off one head and runs the
+# counterfactual tail only when the scored run tripped a check: Table IV
+# and Fig 9 trials over cold and warm reference keys (Table IV's set
+# covers a reused and a forked tail in each scenario), every ablation
+# knob, the fork-point edges, and the reference trace a forked trial
+# publishes to the cache. Table I, the fault campaign and the mitigation
+# sweep (one-value and two-value) fork each group's head in one job; their
+# sharded runs must also merge to the single-range bytes.
+stage="fork equivalence guard"
+echo "==> fork equivalence guard"
+go test -run 'TestTable4ForkedMatchesStraight|TestFig9ForkedMatchesStraight|TestAblationTrialsForkedMatchStraight|TestTrialForkEdgesMatchStraight|TestForkedTrialPublishesReference|TestTable1ForkedMatchesStraight|TestFaultCampaignForkedMatchesStraight|TestMitigationSweepMatchesPerValueComparisons|TestTable1ShardIdentity|TestFaultCampaignShardIdentity|TestMitigationShardIdentity' \
 	-count 1 ./internal/experiment/
 
 # Allocation-regression guard: steady-state batch stepping must stay at
