@@ -27,8 +27,9 @@ import (
 //     ratios so the derivative is division-free;
 //   - replaces the tanh-smoothed Coulomb signum with a division-free
 //     polynomial inside the smoothing band (8.2e-11 worst error), a
-//     2^k·2^f exponential decomposition on the mid band (~3e-15, see
-//     tanhMid) and the exact ±1 beyond saturation;
+//     table-driven exponential on the mid band (a 64-entry 2^(j/64)
+//     table and five math.FMA steps, ~2.2e-16, see tanhMid) and the
+//     exact ±1 beyond saturation;
 //   - evaluates the gravity sine/cosine only when the link has moved
 //     more than anchorRad from the last evaluation, reconstructing
 //     intermediate values from the anchor by a fifth-order expansion
@@ -496,34 +497,70 @@ func tanhTail(x float64) float64 {
 	return tanhMid(x)
 }
 
-// Constants for tanhMid's 2^t decomposition: log2(e) to convert the
-// exponent to base 2, and ln 2 to map the fractional part back to exp's
-// Taylor domain.
+// Constants for tanhMid's reduction: tanhScale maps |x| to
+// y = 64·log2(e^(-2|x|)), so that e^(-2|x|) = 2^(y/64), and tanhLn2By64
+// maps y's fractional part back to exp's argument. Constant arithmetic
+// rounds each once, from the exact value.
 const (
-	tanhLog2E = 1.4426950408889634
-	tanhLn2   = 0.6931471805599453
+	tanhScale   = -2 * 64 * math.Log2E
+	tanhLn2By64 = math.Ln2 / 64
 )
+
+// tanhExp2 holds 2^(j/64) for j = 0..63, each correctly rounded to
+// float64 (TestTanhExp2Table proves it with math/big).
+var tanhExp2 = [64]float64{
+	0x1.0000000000000p+00, 0x1.02c9a3e778061p+00, 0x1.059b0d3158574p+00, 0x1.0874518759bc8p+00,
+	0x1.0b5586cf9890fp+00, 0x1.0e3ec32d3d1a2p+00, 0x1.11301d0125b51p+00, 0x1.1429aaea92de0p+00,
+	0x1.172b83c7d517bp+00, 0x1.1a35beb6fcb75p+00, 0x1.1d4873168b9aap+00, 0x1.2063b88628cd6p+00,
+	0x1.2387a6e756238p+00, 0x1.26b4565e27cddp+00, 0x1.29e9df51fdee1p+00, 0x1.2d285a6e4030bp+00,
+	0x1.306fe0a31b715p+00, 0x1.33c08b26416ffp+00, 0x1.371a7373aa9cbp+00, 0x1.3a7db34e59ff7p+00,
+	0x1.3dea64c123422p+00, 0x1.4160a21f72e2ap+00, 0x1.44e086061892dp+00, 0x1.486a2b5c13cd0p+00,
+	0x1.4bfdad5362a27p+00, 0x1.4f9b2769d2ca7p+00, 0x1.5342b569d4f82p+00, 0x1.56f4736b527dap+00,
+	0x1.5ab07dd485429p+00, 0x1.5e76f15ad2148p+00, 0x1.6247eb03a5585p+00, 0x1.6623882552225p+00,
+	0x1.6a09e667f3bcdp+00, 0x1.6dfb23c651a2fp+00, 0x1.71f75e8ec5f74p+00, 0x1.75feb564267c9p+00,
+	0x1.7a11473eb0187p+00, 0x1.7e2f336cf4e62p+00, 0x1.82589994cce13p+00, 0x1.868d99b4492edp+00,
+	0x1.8ace5422aa0dbp+00, 0x1.8f1ae99157736p+00, 0x1.93737b0cdc5e5p+00, 0x1.97d829fde4e50p+00,
+	0x1.9c49182a3f090p+00, 0x1.a0c667b5de565p+00, 0x1.a5503b23e255dp+00, 0x1.a9e6b5579fdbfp+00,
+	0x1.ae89f995ad3adp+00, 0x1.b33a2b84f15fbp+00, 0x1.b7f76f2fb5e47p+00, 0x1.bcc1e904bc1d2p+00,
+	0x1.c199bdd85529cp+00, 0x1.c67f12e57d14bp+00, 0x1.cb720dcef9069p+00, 0x1.d072d4a07897cp+00,
+	0x1.d5818dcfba487p+00, 0x1.da9e603db3285p+00, 0x1.dfc97337b9b5fp+00, 0x1.e502ee78b3ff6p+00,
+	0x1.ea4afa2a490dap+00, 0x1.efa1bee615a27p+00, 0x1.f50765b6e4540p+00, 0x1.fa7c1819e90d8p+00,
+}
 
 // tanhMid evaluates tanh on the mid band 5/8 <= |x| < 20 — homing sweeps
 // and attack transients park link velocities here for thousands of
 // consecutive substeps, and the fleet profile showed the math.Tanh call
 // it replaces dominating the whole worker tick. It uses the identity
 //
-//	tanh(x) = sgn(x) · (1 - 2s/(1+s)),  s = e^(-2|x|)
+//	tanh(x) = sgn(x) · (1 - 2s/(1+s)),  s = e^(-2|x|) = 2^(y/64)
 //
-// and computes s as 2^t, t = -2|x|·log2(e) ∈ (-57.8, -1.8]: split
-// t = k + f with k = RoundToEven(t) and f ∈ [-1/2, 1/2], evaluate
-// 2^f = e^(f·ln2) by a degree-12 Taylor polynomial (truncation < 2e-16
-// relative), and apply 2^k by adding k to the exponent bits — exact, and
-// s ≥ e^(-40) keeps the result far from the subnormal range. The
-// argument-conversion rounding bounds the overall error at ~3e-15
-// absolute, within the kernel's documented float-tolerance contract
-// (fastSin and the friction polynomial sit at 5e-14 and 8e-11). One
-// division remains, but only one evaluation runs per joint per stage
-// against the twelve polynomial evaluations, so it does not serialize
-// the stage chains the way a Padé friction would. Arguments outside the
-// band — including NaN, which fails the range check — fall back to
-// math.Tanh.
+// with y = 64·(-2|x|)·log2(e) ∈ (-3694, -115], and evaluates s by table
+// reduction (Tang's method): split y = k + f with k = RoundToEven(y) and
+// f ∈ [-1/2, 1/2], so s = 2^(k>>6) · 2^((k&63)/64) · e^w with
+// w = f·ln2/64, |w| <= 0.0055. e^w is a degree-5 Taylor polynomial
+// (truncation < 4e-17 relative), 2^((k&63)/64) a lookup in tanhExp2,
+// and 2^(k>>6) an add to the exponent bits — exact, and s >= e^(-40)
+// keeps the result far from the subnormal range. y - k is exact
+// (Sterbenz), so the only argument error is y's own rounding. The
+// worst error against math.Tanh is ~2.2e-16 absolute over the band
+// (TestTanhMidBand bounds it at 4.5e-16), inside the kernel's
+// documented float-tolerance contract (fastSin and the friction
+// polynomial sit at 5e-14 and 8e-11).
+//
+// The table keeps the polynomial short: the chain from x to s is five
+// dependent fused multiply-adds plus the table product, and it sits on
+// the critical path of every plant sub-step whose link moves in the
+// band (EXPERIMENTS.md, "Table-driven tanhMid"). The FMAs are explicit
+// math.FMA calls: FMA is exact by definition, so every platform
+// computes the same bits (on amd64 the call compiles to VFMADD behind a
+// CPU-feature check, with an exact software fallback), and the
+// float64() conversion on y is a rounding fence that keeps a fusing
+// compiler (arm64) from folding y's product into y - k, which would
+// make k and f disagree. One division remains, but only one evaluation
+// runs per joint per stage against the twelve polynomial evaluations,
+// so it does not serialize the stage chains the way a Padé friction
+// would. Arguments outside the band — including NaN, which fails the
+// range check — fall back to math.Tanh.
 //
 //ravenlint:noalloc
 func tanhMid(x float64) float64 {
@@ -534,23 +571,17 @@ func tanhMid(x float64) float64 {
 	if !(ax < 20) {
 		return math.Tanh(x) // out-of-contract caller; also catches NaN
 	}
-	t := -2 * ax * tanhLog2E
-	k := math.RoundToEven(t)
-	w := (t - k) * tanhLn2
-	p := 2.08767569878681e-09 // 1/12!
-	p = p*w + 2.505210838544172e-08
-	p = p*w + 2.7557319223985888e-07
-	p = p*w + 2.755731922398589e-06
-	p = p*w + 2.48015873015873e-05
-	p = p*w + 1.984126984126984e-04
-	p = p*w + 1.3888888888888889e-03
-	p = p*w + 8.333333333333333e-03
-	p = p*w + 4.1666666666666664e-02
-	p = p*w + 1.6666666666666666e-01
-	p = p*w + 0.5
-	p = p*w + 1
-	p = p*w + 1
-	s := math.Float64frombits(math.Float64bits(p) + uint64(int64(k))<<52)
+	y := float64(ax * tanhScale)
+	k := math.RoundToEven(y)
+	w := (y - k) * tanhLn2By64
+	p := math.FMA(w, 1.0/120, 1.0/24)
+	p = math.FMA(p, w, 1.0/6)
+	p = math.FMA(p, w, 0.5)
+	p = math.FMA(p, w, 1)
+	p = math.FMA(p, w, 1)
+	ki := int64(k)
+	s := tanhExp2[ki&63] * p
+	s = math.Float64frombits(math.Float64bits(s) + uint64(ki>>6)<<52)
 	r := 1 - 2*s/(1+s)
 	if x < 0 {
 		return -r

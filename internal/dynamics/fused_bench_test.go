@@ -20,8 +20,35 @@ func benchFused(b *testing.B, rk4 bool) {
 	}
 }
 
+// benchFusedMidband steps, on every iteration, a fresh copy of one state
+// in which joint 2's link (and motor, so the cable is unstretched) moves
+// at 0.05 m/s: 2.5 smoothing widths, inside tanhMid's band for all four
+// RK4 stages, so each step runs that joint's friction through tanhMid.
+// Joints 0 and 1 rest inside the polynomial band.
+func benchFusedMidband(b *testing.B) {
+	s, err := NewStepper(DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := kinematics.DefaultTransmission()
+	var x0 State
+	x0.SetJointPos(kinematics.DefaultLimits().Center(), tr)
+	x0.X[idxLinkVel(2)] = 0.05
+	x0.X[idxMotorVel(2)] = 0.05 * tr.Ratio[2]
+	s.SetTorque([3]float64{0.01, 0.01, 0.005})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := x0.X
+		s.StepRK4(&x, 1e-3)
+	}
+}
+
 func BenchmarkFusedStepEuler(b *testing.B) { benchFused(b, false) }
-func BenchmarkFusedStepRK4(b *testing.B)   { benchFused(b, true) }
+
+func BenchmarkFusedStepRK4(b *testing.B) {
+	b.Run("rest", func(b *testing.B) { benchFused(b, true) })
+	b.Run("midband", benchFusedMidband)
+}
 
 // The *Reference benchmarks step the generic Integrator over the Model's
 // derivative closure (reference_test.go), the baseline the fused kernels

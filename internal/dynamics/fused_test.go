@@ -2,6 +2,7 @@ package dynamics
 
 import (
 	"math"
+	"math/big"
 	"testing"
 
 	"ravenguard/internal/kinematics"
@@ -213,30 +214,66 @@ func TestTanhPolyVel(t *testing.T) {
 	}
 }
 
-// TestTanhMid sweeps the mid-band exponential-decomposition kernel
-// against math.Tanh at a much tighter bound than the full-range fastTanh
-// test: the 2^k·2^f construction should be good to a few ulps of the
-// result, not merely to the 1e-10 friction tolerance.
-func TestTanhMid(t *testing.T) {
-	var maxErr float64
-	for i := 6250; i <= 200000; i++ {
-		x := float64(i) * 1e-4 // [0.625, 20]
-		for _, v := range []float64{x, -x} {
-			if d := math.Abs(tanhMid(v) - math.Tanh(v)); d > maxErr {
-				maxErr = d
-			}
+// TestTanhMidBand sweeps the table-driven mid-band kernel against
+// math.Tanh over 2^21 points of 5/8 <= x < 20 and their negations, at a
+// bound a few ulps of the result tight — not merely the 1e-10 friction
+// tolerance — and checks its edges: odd symmetry, the exact ±1 just
+// below saturation (TestFastTanh covers tanhTail's ±1 beyond it), and
+// the math.Tanh fallback for NaN and out-of-band arguments.
+func TestTanhMidBand(t *testing.T) {
+	const n = 1 << 21
+	var maxErr, worst float64
+	for i := 0; i < n; i++ {
+		x := 0.625 + (20-0.625)*float64(i)/n
+		got := tanhMid(x)
+		if d := math.Abs(got - math.Tanh(x)); d > maxErr {
+			maxErr, worst = d, x
+		}
+		if neg := tanhMid(-x); neg != -got {
+			t.Fatalf("tanhMid(-%v) = %v, want -tanhMid(%v) = %v", x, neg, x, -got)
 		}
 	}
-	t.Logf("max |tanhMid - math.Tanh| on the mid band: %.3e", maxErr)
-	if maxErr > 1e-13 {
-		t.Fatalf("tanhMid error %.3e exceeds 1e-13", maxErr)
+	t.Logf("max |tanhMid - math.Tanh| on the mid band: %.3e at x = %v", maxErr, worst)
+	if maxErr > 4.5e-16 {
+		t.Fatalf("tanhMid error %.3e at x = %v exceeds 4.5e-16", maxErr, worst)
+	}
+	below20 := math.Nextafter(20, 0)
+	if got := tanhMid(below20); got != 1 || tanhMid(-below20) != -1 {
+		t.Fatalf("tanhMid(±%v) = ±%v, want ±1", below20, got)
 	}
 	// The out-of-contract fallback must stay exact for the values the
 	// band branches can hand it under unusual inputs.
-	for _, v := range []float64{math.NaN(), 25, -1e9, math.Inf(1)} {
+	for _, v := range []float64{math.NaN(), 20, 25, -1e9, math.Inf(1)} {
 		got, want := tanhMid(v), math.Tanh(v)
 		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 			t.Fatalf("tanhMid(%v) = %v, want math.Tanh fallback %v", v, got, want)
+		}
+	}
+}
+
+// TestTanhExp2Table proves that every tanhExp2 entry c is 2^(j/64)
+// correctly rounded: the open interval (c - ulp/2, c + ulp/2) of reals
+// that round to c contains 2^(j/64), i.e.
+// (c - ulp/2)^64 < 2^j < (c + ulp/2)^64, evaluated exactly in math/big
+// (64 products of 54-bit values fit in 64·54 bits).
+func TestTanhExp2Table(t *testing.T) {
+	const prec = 64 * 54
+	pow64 := func(x *big.Float) *big.Float {
+		r := new(big.Float).SetPrec(prec).SetInt64(1)
+		for i := 0; i < 64; i++ {
+			r.Mul(r, x)
+		}
+		return r
+	}
+	for j, c := range tanhExp2 {
+		half := (math.Nextafter(c, 2) - c) / 2
+		lo := new(big.Float).SetPrec(prec).SetFloat64(c)
+		lo.Sub(lo, big.NewFloat(half))
+		hi := new(big.Float).SetPrec(prec).SetFloat64(c)
+		hi.Add(hi, big.NewFloat(half))
+		pow2j := new(big.Float).SetPrec(prec).SetMantExp(big.NewFloat(1), j)
+		if pow64(lo).Cmp(pow2j) >= 0 || pow2j.Cmp(pow64(hi)) >= 0 {
+			t.Errorf("tanhExp2[%d] = %x is not 2^(%d/64) correctly rounded", j, c, j)
 		}
 	}
 }

@@ -257,6 +257,8 @@ func TestRunTable4Small(t *testing.T) {
 	if !strings.Contains(sb.String(), "TABLE IV") {
 		t.Fatal("report missing header")
 	}
+	// amd64 digest.
+	requireDigest(t, res, "ab8fdb5d2c4e79b581ebb8326d9881d84b032b415bbf39517539f24a0cbf324e")
 }
 
 func TestRunFig9Small(t *testing.T) {
@@ -284,6 +286,8 @@ func TestRunFig9Small(t *testing.T) {
 	if big.PDyn.Value() < small.PDyn.Value() {
 		t.Fatalf("detection probability not increasing: %.2f -> %.2f", small.PDyn.Value(), big.PDyn.Value())
 	}
+	// amd64 digest.
+	requireDigest(t, res, "e6c482c110588ae43514cdd020aaba723faed532a25d9992cc48fe6be9959acb")
 }
 
 func TestRunTable1(t *testing.T) {

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ravenguard/internal/fault"
@@ -33,28 +33,45 @@ func TestRunJobsOrderedResults(t *testing.T) {
 }
 
 func TestRunJobsFirstErrorAborts(t *testing.T) {
-	withWorkers(t, 4, func() {
-		var (
-			mu  sync.Mutex
-			ran []int
-		)
-		boom := errors.New("boom")
-		_, err := runJobs(1000, func(i int) (int, error) {
-			mu.Lock()
-			ran = append(ran, i)
-			mu.Unlock()
+	boom := errors.New("boom")
+	// failAt5 records which jobs ran; job 5 fails.
+	failAt5 := func(ran []atomic.Bool) func(i int) (int, error) {
+		return func(i int) (int, error) {
+			ran[i].Store(true)
 			if i == 5 {
 				return 0, fmt.Errorf("job %d: %w", i, boom)
 			}
 			return i, nil
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("err = %v, want wrapped %v", err, boom)
 		}
-		// After the failure, scheduling must stop: far fewer than 1000 jobs
-		// may run (the failing job plus whatever was already in flight).
-		if len(ran) >= 1000 {
-			t.Fatalf("all %d jobs ran despite an early error", len(ran))
+	}
+	// At one worker the schedule is fixed: jobs 0-5 run in order and the
+	// failure stops the batch before job 6 starts.
+	withWorkers(t, 1, func() {
+		ran := make([]atomic.Bool, 1000)
+		res, err := runJobs(len(ran), failAt5(ran))
+		if !errors.Is(err, boom) || res != nil {
+			t.Fatalf("runJobs = %v, %v; want nil, wrapped %v", res, err, boom)
+		}
+		for i := range ran {
+			if want := i <= 5; ran[i].Load() != want {
+				t.Fatalf("job %d ran = %v, want %v (exactly jobs 0-5)", i, ran[i].Load(), want)
+			}
+		}
+	})
+	// At four workers how many jobs start before the failure is recorded
+	// depends on scheduling, so only the race-free properties are checked:
+	// the error surfaces, no results are returned, and every job handed
+	// out before job 5 ran.
+	withWorkers(t, 4, func() {
+		ran := make([]atomic.Bool, 1000)
+		res, err := runJobs(len(ran), failAt5(ran))
+		if !errors.Is(err, boom) || res != nil {
+			t.Fatalf("runJobs = %v, %v; want nil, wrapped %v", res, err, boom)
+		}
+		for i := 0; i <= 5; i++ {
+			if !ran[i].Load() {
+				t.Fatalf("job %d did not run", i)
+			}
 		}
 	})
 }

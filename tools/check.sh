@@ -95,6 +95,20 @@ diff "$sharddir/merged.txt" "$sharddir/inproc.txt" || {
 	exit 1
 }
 
+# Labrunner golden: every experiment's quick run at seed 1, with exactly
+# its timing fields stripped (tools/golden.sh), must print the checked-in
+# golden byte for byte. This pins the reproduction's absolute outputs —
+# tables, counts, deviations — where the equivalence suites only pin one
+# execution path against another. An intended numerics change
+# regenerates the golden with tools/golden.sh and shows the diff.
+stage="labrunner golden"
+echo "==> labrunner golden (-exp all -quick -seed 1 vs tools/testdata)"
+tools/golden.sh "$sharddir/labrunner" >"$sharddir/golden.txt"
+diff tools/testdata/labrunner-all-quick-seed1.golden "$sharddir/golden.txt" || {
+	echo "labrunner -exp all -quick -seed 1 output diverged from the golden" >&2
+	exit 1
+}
+
 # Chaos + resume smoke: the supervised coordinator must absorb seeded
 # worker failures of every kind (a crash, a mid-frame death, stdout
 # garbage, a hang caught by -deadline) plus a coordinator halt
