@@ -173,39 +173,24 @@ func BenchmarkTableI_Variants(b *testing.B) {
 
 // --- Ablations --------------------------------------------------------------
 
-func benchAblation(b *testing.B, f func(experiment.AblationConfig) (experiment.AblationResult, error)) {
-	b.Helper()
-	var spread float64
+// BenchmarkAblations runs the four design-choice ablations (one shared
+// campaign) and reports each ablation's TPR spread across its arms.
+func BenchmarkAblations(b *testing.B) {
+	var res []experiment.AblationResult
 	for i := 0; i < b.N; i++ {
-		res, err := f(experiment.AblationConfig{Runs: 24, BaseSeed: int64(71 + i)})
-		if err != nil {
+		var err error
+		if res, err = experiment.RunAblations(experiment.AblationConfig{Runs: 24, BaseSeed: int64(71 + i)}); err != nil {
 			b.Fatal(err)
 		}
-		lo, hi := 101.0, -1.0
-		for _, arm := range res.Arms {
-			tpr := arm.Confusion.TPR()
-			if tpr < lo {
-				lo = tpr
-			}
-			if tpr > hi {
-				hi = tpr
-			}
-		}
-		spread = hi - lo
 	}
-	b.ReportMetric(spread, "TPR-spread-%")
-}
-
-func BenchmarkAblation_AlarmFusion(b *testing.B) {
-	benchAblation(b, experiment.RunAblationFusion)
-}
-
-func BenchmarkAblation_ThresholdPercentile(b *testing.B) {
-	benchAblation(b, experiment.RunAblationPercentile)
-}
-
-func BenchmarkAblation_DetectorPlacement(b *testing.B) {
-	benchAblation(b, experiment.RunAblationPlacement)
+	for i, name := range []string{"fusion", "threshold", "placement", "resync"} {
+		lo, hi := 101.0, -1.0
+		for _, arm := range res[i].Arms {
+			tpr := arm.Confusion.TPR()
+			lo, hi = min(lo, tpr), max(hi, tpr)
+		}
+		b.ReportMetric(hi-lo, name+"-TPR-spread-%")
+	}
 }
 
 // --- Component micro-benchmarks ---------------------------------------------

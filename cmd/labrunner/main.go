@@ -62,7 +62,7 @@ func run() error {
 		quick   = flag.Bool("quick", false, "shrink campaigns for a fast pass")
 		seed    = flag.Int64("seed", 1, "base seed")
 		workers = flag.Int("workers", 0, "campaign worker-pool size (0 = GOMAXPROCS); results are seed-identical at any count")
-		csvDir  = flag.String("csvdir", "", "also export fig8/table4/fig9 results as CSV into this directory")
+		csvDir  = flag.String("csvdir", "", "also export fig8/table4/fig9 results as CSV, and Fig 8's per-joint model-vs-robot traces as SVG, into this directory")
 		outTh   = flag.String("out", "", "learn: also save the learned thresholds to this JSON file")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile (taken after the experiments) to this file")
@@ -128,7 +128,7 @@ func run() error {
 		}()
 	}
 
-	exportCSV := func(name string, write func(io.Writer) error) error {
+	export := func(name string, write func(io.Writer) error) error {
 		if *csvDir == "" {
 			return nil
 		}
@@ -142,7 +142,7 @@ func run() error {
 			err = cerr
 		}
 		if err == nil {
-			fmt.Printf("(csv: %s)\n", path)
+			fmt.Printf("(wrote %s)\n", path)
 		}
 		return err
 	}
@@ -218,7 +218,23 @@ func run() error {
 				return err
 			}
 			res.Write(os.Stdout)
-			return exportCSV("fig8.csv", func(w io.Writer) error { return experiment.WriteFig8CSV(w, res) })
+			if err := export("fig8.csv", func(w io.Writer) error { return experiment.WriteFig8CSV(w, res) }); err != nil {
+				return err
+			}
+			if *csvDir == "" {
+				return nil
+			}
+			// The per-joint trace plots, under the shipped Euler model.
+			tr, err := experiment.RunFig8Trace(*seed, "euler")
+			if err != nil {
+				return err
+			}
+			for j := 0; j < 3; j++ {
+				if err := export(fmt.Sprintf("fig8_trace_j%d.svg", j+1), func(w io.Writer) error { return tr.WriteSVG(w, j) }); err != nil {
+					return err
+				}
+			}
+			return nil
 		}); err != nil {
 			return err
 		}
@@ -252,7 +268,7 @@ func run() error {
 				return err
 			}
 			res.Write(os.Stdout)
-			return exportCSV("table4.csv", func(w io.Writer) error { return experiment.WriteTable4CSV(w, res) })
+			return export("table4.csv", func(w io.Writer) error { return experiment.WriteTable4CSV(w, res) })
 		}); err != nil {
 			return err
 		}
@@ -270,7 +286,7 @@ func run() error {
 				return err
 			}
 			res.Write(os.Stdout)
-			return exportCSV("fig9.csv", func(w io.Writer) error { return experiment.WriteFig9CSV(w, res) })
+			return export("fig9.csv", func(w io.Writer) error { return experiment.WriteFig9CSV(w, res) })
 		}); err != nil {
 			return err
 		}
@@ -282,22 +298,18 @@ func run() error {
 		if *quick {
 			runs = 60
 		}
-		for _, abl := range []struct {
-			name string
-			f    func(experiment.AblationConfig) (experiment.AblationResult, error)
-		}{
-			{"Ablation: alarm fusion", experiment.RunAblationFusion},
-			{"Ablation: threshold scale", experiment.RunAblationPercentile},
-			{"Ablation: detector placement", experiment.RunAblationPlacement},
-			{"Ablation: model resync scheme", experiment.RunAblationResync},
-		} {
-			abl := abl
-			if err := run(abl.name, func() error {
-				res, err := abl.f(experiment.AblationConfig{Runs: runs, BaseSeed: *seed})
-				if err != nil {
-					return err
+		// One campaign scores all four ablations; the first block runs it
+		// (and its took line times it), every block prints its own table.
+		var results []experiment.AblationResult
+		for i, name := range []string{"alarm fusion", "threshold scale", "detector placement", "model resync scheme"} {
+			if err := run("Ablation: "+name, func() error {
+				if results == nil {
+					var err error
+					if results, err = experiment.RunAblations(experiment.AblationConfig{Runs: runs, BaseSeed: *seed}); err != nil {
+						return err
+					}
 				}
-				res.Write(os.Stdout)
+				results[i].Write(os.Stdout)
 				return nil
 			}); err != nil {
 				return err
@@ -324,7 +336,7 @@ func run() error {
 			for _, res := range results {
 				res.Write(os.Stdout)
 				fmt.Println()
-				if err := exportCSV(fmt.Sprintf("mitigation_%d.csv", res.Config.Value), func(w io.Writer) error {
+				if err := export(fmt.Sprintf("mitigation_%d.csv", res.Config.Value), func(w io.Writer) error {
 					return experiment.WriteMitigationCSV(w, res)
 				}); err != nil {
 					return err
@@ -348,7 +360,7 @@ func run() error {
 				return err
 			}
 			res.Write(os.Stdout)
-			return exportCSV("latency.csv", func(w io.Writer) error { return experiment.WriteLatencyCSV(w, res) })
+			return export("latency.csv", func(w io.Writer) error { return experiment.WriteLatencyCSV(w, res) })
 		}); err != nil {
 			return err
 		}

@@ -46,11 +46,17 @@ func (th Thresholds) Save(path string) error {
 	return f.Close()
 }
 
-// ReadThresholds parses thresholds from JSON and validates them.
+// ReadThresholds parses thresholds from JSON and validates them. The
+// input must hold exactly one JSON object: anything after it but
+// whitespace is rejected.
 func ReadThresholds(r io.Reader) (Thresholds, error) {
 	var tf thresholdsFile
-	if err := json.NewDecoder(r).Decode(&tf); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&tf); err != nil {
 		return Thresholds{}, fmt.Errorf("core: decode thresholds: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Thresholds{}, fmt.Errorf("core: decode thresholds: trailing data after the object")
 	}
 	if tf.Version != thresholdsFileVersion {
 		return Thresholds{}, fmt.Errorf("core: unsupported thresholds version %d", tf.Version)

@@ -20,7 +20,13 @@ func TestThresholdsSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// validThresholdsJSON is an accepted thresholds file.
+const validThresholdsJSON = `{"version":1,"motor_vel_rad_s":[1,1,1],"motor_accel_rad_s2":[1,1,1],"joint_vel":[1,1,1]}`
+
 func TestReadThresholdsRejects(t *testing.T) {
+	if _, err := ReadThresholds(strings.NewReader(validThresholdsJSON)); err != nil {
+		t.Fatalf("the valid prefix of the trailing-data cases is rejected: %v", err)
+	}
 	tests := []struct {
 		name string
 		json string
@@ -28,6 +34,9 @@ func TestReadThresholdsRejects(t *testing.T) {
 		{"garbage", "not json"},
 		{"wrong version", `{"version":9,"motor_vel_rad_s":[1,1,1],"motor_accel_rad_s2":[1,1,1],"joint_vel":[1,1,1]}`},
 		{"non-positive limit", `{"version":1,"motor_vel_rad_s":[0,1,1],"motor_accel_rad_s2":[1,1,1],"joint_vel":[1,1,1]}`},
+		{"trailing garbage", validThresholdsJSON + "garbage"},
+		{"second object", validThresholdsJSON + `{"version":2}`},
+		{"trailing bracket", validThresholdsJSON + "]"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -33,12 +33,65 @@ type AblationResult struct {
 	Arms  []AblationArm
 }
 
-// ablationCampaign scores one guard configuration over a mixed scenario-B
-// campaign (attacks of varying size plus fault-free runs).
-func ablationCampaign(cfg AblationConfig, mutate func(*Trial)) (metrics.Confusion, error) {
+// ablationDetectors are the distinct guards the ablations compare; the
+// arms of ablationArms index into it. Index 0 is the paper's guard, the
+// one arm every ablation shares.
+func ablationDetectors() []detector {
+	scaled := func(scale float64) core.Thresholds {
+		th := core.DefaultThresholds()
+		for i := range th.MotorVel {
+			th.MotorVel[i] *= scale
+			th.MotorAccel[i] *= scale
+			th.JointVel[i] *= scale
+		}
+		return th
+	}
+	return []detector{
+		{},
+		{cfg: core.Config{Fusion: core.FusionAny}},
+		{cfg: core.Config{Thresholds: scaled(0.5)}},
+		{cfg: core.Config{Thresholds: scaled(2)}},
+		{aboveMalware: true},
+		{cfg: core.Config{Resync: "kalman"}},
+	}
+}
+
+// detArm names one ablation arm and its index into ablationDetectors.
+type detArm struct {
+	name string
+	det  int
+}
+
+// ablationArms titles each ablation and lists its arms.
+var ablationArms = []struct {
+	title string
+	arms  []detArm
+}{
+	{"Alarm fusion: all-three-AND (paper) vs any-variable-OR", []detArm{{"fusion=ALL (paper)", 0}, {"fusion=ANY", 1}}},
+	// Threshold strictness: scaling the learned thresholds down (more
+	// sensitive) and up (less sensitive) against the paper's
+	// 99.8-99.9th percentile choice.
+	{"Threshold scale around the learned 99.85th percentile", []detArm{{"thresholds x0.5 (looser trigger)", 2}, {"thresholds x1.0 (paper)", 0}, {"thresholds x2.0 (stricter trigger)", 3}}},
+	// The paper's hardware-boundary placement against a guard above the
+	// malicious wrapper, where it checks commands before the attacker
+	// mutates them: the TOCTOU gap RAVEN's own checks suffer from.
+	{"Detector placement: below vs above the malicious wrapper (TOCTOU)", []detArm{{"guard at hardware boundary (paper)", 0}, {"guard above malware (pre-attack check)", 4}}},
+	// The paper's plain proportional resynchronisation against the
+	// per-joint steady-state Kalman filter (following the UKF work the
+	// paper cites).
+	{"Model resync: proportional (paper) vs steady-state Kalman", []detArm{{"resync=proportional (paper)", 0}, {"resync=kalman", 5}}},
+}
+
+// RunAblations scores every ablation over one mixed scenario-B campaign
+// (attacks of varying size plus fault-free runs) and returns them in
+// order: alarm fusion, threshold scale, detector placement, model resync.
+// Each trial runs once with every distinct guard riding along in monitor
+// mode (see Trial.run), so the arms share their sessions.
+func RunAblations(cfg AblationConfig) ([]AblationResult, error) {
+	cfg.applyDefaults()
 	vals, durs := scenarioBGrid()
-	trials := make([]Trial, 0, cfg.Runs)
-	for i := 0; i < cfg.Runs; i++ {
+	dets := ablationDetectors()
+	verdicts, err := runJobs(cfg.Runs, func(i int) ([]Result, error) {
 		trial := Trial{
 			Seed:     cfg.BaseSeed + int64(7000+i%31),
 			TrajIdx:  i % 2,
@@ -54,113 +107,23 @@ func ablationCampaign(cfg AblationConfig, mutate func(*Trial)) (metrics.Confusio
 		if i%7 == 0 {
 			trial.Scenario = ScenarioNone
 		}
-		if mutate != nil {
-			mutate(&trial)
-		}
-		trials = append(trials, trial)
-	}
-	results, err := runTrials(trials)
+		return trial.run(dets)
+	})
 	if err != nil {
-		return metrics.Confusion{}, err
+		return nil, err
 	}
-	var conf metrics.Confusion
-	for _, res := range results {
-		conf.Observe(res.Impact, res.DynPreemptive)
+	confs := make([]metrics.Confusion, len(dets))
+	for _, res := range verdicts {
+		for d, r := range res {
+			confs[d].Observe(r.Impact, r.DynPreemptive)
+		}
 	}
-	return conf, nil
-}
-
-// RunAblationFusion compares the paper's three-way AND alarm fusion with a
-// single-variable OR (any threshold crossing alarms).
-func RunAblationFusion(cfg AblationConfig) (AblationResult, error) {
-	cfg.applyDefaults()
-	out := AblationResult{Title: "Alarm fusion: all-three-AND (paper) vs any-variable-OR"}
-	for _, arm := range []struct {
-		name   string
-		fusion core.Fusion
-	}{
-		{"fusion=ALL (paper)", core.FusionAll},
-		{"fusion=ANY", core.FusionAny},
-	} {
-		conf, err := ablationCampaign(cfg, func(t *Trial) { t.Fusion = arm.fusion })
-		if err != nil {
-			return AblationResult{}, err
+	out := make([]AblationResult, len(ablationArms))
+	for i, abl := range ablationArms {
+		out[i].Title = abl.title
+		for _, arm := range abl.arms {
+			out[i].Arms = append(out[i].Arms, AblationArm{Name: arm.name, Confusion: confs[arm.det]})
 		}
-		out.Arms = append(out.Arms, AblationArm{Name: arm.name, Confusion: conf})
-	}
-	return out, nil
-}
-
-// RunAblationPercentile compares threshold strictness: scaling the learned
-// thresholds down (more sensitive) and up (less sensitive) against the
-// paper's 99.8-99.9th percentile choice.
-func RunAblationPercentile(cfg AblationConfig) (AblationResult, error) {
-	cfg.applyDefaults()
-	out := AblationResult{Title: "Threshold scale around the learned 99.85th percentile"}
-	for _, arm := range []struct {
-		name  string
-		scale float64
-	}{
-		{"thresholds x0.5 (looser trigger)", 0.5},
-		{"thresholds x1.0 (paper)", 1.0},
-		{"thresholds x2.0 (stricter trigger)", 2.0},
-	} {
-		th := core.DefaultThresholds()
-		for i := range th.MotorVel {
-			th.MotorVel[i] *= arm.scale
-			th.MotorAccel[i] *= arm.scale
-			th.JointVel[i] *= arm.scale
-		}
-		conf, err := ablationCampaign(cfg, func(t *Trial) { t.Thresholds = th })
-		if err != nil {
-			return AblationResult{}, err
-		}
-		out.Arms = append(out.Arms, AblationArm{Name: arm.name, Confusion: conf})
-	}
-	return out, nil
-}
-
-// RunAblationResync compares the guard's model-feedback fusion schemes:
-// the paper's plain proportional resynchronisation against the per-joint
-// steady-state Kalman filter (following the UKF work the paper cites).
-func RunAblationResync(cfg AblationConfig) (AblationResult, error) {
-	cfg.applyDefaults()
-	out := AblationResult{Title: "Model resync: proportional (paper) vs steady-state Kalman"}
-	for _, arm := range []struct {
-		name   string
-		resync string
-	}{
-		{"resync=proportional (paper)", "proportional"},
-		{"resync=kalman", "kalman"},
-	} {
-		conf, err := ablationCampaign(cfg, func(t *Trial) { t.Resync = arm.resync })
-		if err != nil {
-			return AblationResult{}, err
-		}
-		out.Arms = append(out.Arms, AblationArm{Name: arm.name, Confusion: conf})
-	}
-	return out, nil
-}
-
-// RunAblationPlacement compares installing the guard below the malicious
-// wrapper (the paper's hardware-boundary placement) with installing it
-// above (where it checks commands before the attacker mutates them — the
-// TOCTOU gap RAVEN's own checks suffer from).
-func RunAblationPlacement(cfg AblationConfig) (AblationResult, error) {
-	cfg.applyDefaults()
-	out := AblationResult{Title: "Detector placement: below vs above the malicious wrapper (TOCTOU)"}
-	for _, arm := range []struct {
-		name  string
-		above bool
-	}{
-		{"guard at hardware boundary (paper)", false},
-		{"guard above malware (pre-attack check)", true},
-	} {
-		conf, err := ablationCampaign(cfg, func(t *Trial) { t.GuardAboveMalware = arm.above })
-		if err != nil {
-			return AblationResult{}, err
-		}
-		out.Arms = append(out.Arms, AblationArm{Name: arm.name, Confusion: conf})
 	}
 	return out, nil
 }

@@ -71,7 +71,7 @@ func BenchmarkTable4CampaignStraight(b *testing.B) {
 	trials := append(scenarioATrials(cfg, 0, cfg.RunsA), scenarioBTrials(cfg, 0, cfg.RunsB)...)
 	for i := 0; i < b.N; i++ {
 		ResetReferenceCache()
-		if _, err := runTrialsStraight(trials); err != nil {
+		if _, err := runTrialsStraight(trials, detector{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -72,22 +72,6 @@ type Trial struct {
 	A inject.ScenarioAParams
 	// Scenario B parameters.
 	B inject.ScenarioBParams
-
-	// Thresholds for the dynamic-model guard (zero = DefaultThresholds).
-	Thresholds core.Thresholds
-	// Integrator for the guard (default "euler").
-	Integrator string
-	// Resync selects the guard's model-feedback fusion ("proportional" or
-	// "kalman"; empty = proportional).
-	Resync string
-	// Fusion selects the guard's alarm fusion (used by the ablation
-	// experiments; zero value keeps the paper's all-three-AND fusion).
-	Fusion core.Fusion
-	// GuardAboveMalware preloads the guard ABOVE the malicious wrapper
-	// instead of appending it at the hardware boundary (placement
-	// ablation: the guard then checks commands before the attacker
-	// modifies them, reintroducing the TOCTOU gap).
-	GuardAboveMalware bool
 }
 
 // Result is what one trial produced.
@@ -408,9 +392,47 @@ func (tr Trial) counterfactualImpact(ref []mathx.Vec3) (float64, int, error) {
 // corrupted frame a trial's shared head stops.
 const forkMargin = 2
 
-// Run executes the trial and scores it: the ground truth comes from the
-// counterfactual (unprotected) run, the detector verdicts from the scored
-// run with RAVEN's checks active and the guard monitoring.
+// detector is one dynamic-model guard a trial scores: the guard's config
+// (its Mode is forced to ModeMonitor; zero Thresholds mean
+// DefaultThresholds) and whether it sits above the malicious wrapper
+// instead of at the hardware boundary (the placement ablation; it applies
+// to scenario B only, whose wrapper is on the write chain).
+type detector struct {
+	cfg          core.Config
+	aboveMalware bool
+}
+
+// paperDetector is the paper's guard alone: Euler model, learned
+// thresholds, three-way AND fusion, proportional resync, at the hardware
+// boundary.
+var paperDetector = []detector{{}}
+
+// newGuard builds the detector's monitor-mode guard.
+func (d detector) newGuard() (*core.Guard, error) {
+	cfg := d.cfg
+	cfg.Mode = core.ModeMonitor
+	if cfg.Thresholds == (core.Thresholds{}) {
+		cfg.Thresholds = core.DefaultThresholds()
+	}
+	return core.NewGuard(cfg)
+}
+
+// Run executes the trial and scores the paper's guard: the ground truth
+// comes from the counterfactual (unprotected) run, the detector verdicts
+// from the scored run with RAVEN's checks active and the guard monitoring.
+func (tr Trial) Run() (Result, error) {
+	res, err := tr.run(paperDetector)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
+}
+
+// run executes the trial once with every detector in dets riding along on
+// the scored rig, and returns one Result per detector. A monitor-mode
+// guard never writes the frame, so the detectors cannot change the session
+// or each other: the ground-truth fields are shared, and each Result is
+// what a run with that detector alone would have scored.
 //
 // The trial's three sessions (the fault-free reference, the counterfactual
 // and the scored run) are the same physics until the attack fires. So one
@@ -421,43 +443,46 @@ const forkMargin = 2
 // Then the scored rig runs its tail, its tips scored against the
 // reference as they come.
 //
-// The scored rig differs from the counterfactual in two ways only: its
-// software safety checks are on, and its guard runs in ModeMonitor
-// (scoredRig's mode is a precondition of this shortcut). A check acts on
-// the session only when it trips, and a monitoring guard never writes the
-// frame. So a scored run that trips no check and reaches no PLC E-STOP is
-// the counterfactual bit for bit, and its own deviation is the ground
-// truth. Only a scored run that did diverge forks the counterfactual tail
-// off the snapshot, or runs it whole from t=0 if the divergence was in the
-// head. A fault-free trial is a single run: its head is the whole session.
-// Results are byte-identical to running the three sessions straight
-// through from t=0.
-func (tr Trial) Run() (Result, error) {
-	rig, guard, att, err := tr.scoredRig()
+// The scored rig differs from the counterfactual in its software safety
+// checks only, since its guards only monitor. A check acts on the session
+// only when it trips, so a scored run that trips no check and reaches no
+// PLC E-STOP is the counterfactual bit for bit, and its own deviation is
+// the ground truth. Only a scored run that did diverge forks the
+// counterfactual tail off the snapshot, or runs it whole from t=0 if the
+// divergence was in the head. A fault-free trial is a single run: its head
+// is the whole session. Results are byte-identical to running the three
+// sessions straight through from t=0.
+func (tr Trial) run(dets []detector) ([]Result, error) {
+	rig, guards, att, err := tr.scoredRig(dets)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	diverged := func() bool { return rig.Controller().SafetyTrips() > 0 || rig.PLC().EStopped() }
-	res := Result{AlarmTick: -1, ImpactTick: -1}
+	results := make([]Result, len(guards))
+	for i := range results {
+		results[i].AlarmTick = -1
+	}
 	dev := newHeadDeviation(tr.sessionSteps())
 	rig.Observe(func(si sim.StepInfo) {
-		if res.AlarmTick < 0 && guard.Alarms() > 0 {
-			res.AlarmTick = dev.step
+		for i, g := range guards {
+			if results[i].AlarmTick < 0 && g.Alarms() > 0 {
+				results[i].AlarmTick = dev.step
+			}
 		}
 		dev.observe(si)
 	})
 	for !rig.Done() && att.FramesUntilActive() > forkMargin {
 		if _, err := rig.Step(); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 	snap, err := snapshotHead(rig)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	ref, err := tr.forkReference(&dev, snap)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 
 	// headDiverged is read before the tail runs: a head that tripped shares
@@ -465,66 +490,62 @@ func (tr Trial) Run() (Result, error) {
 	headDiverged := diverged()
 	atFork := dev
 	if _, err := rig.Run(0); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 
+	maxDev, impactTick := 0.0, -1
 	if tr.Scenario != ScenarioNone {
 		switch {
 		case headDiverged:
-			res.MaxDeviation, res.ImpactTick, err = tr.counterfactualImpact(ref)
+			maxDev, impactTick, err = tr.counterfactualImpact(ref)
 			if err != nil {
-				return Result{}, err
+				return nil, err
 			}
 		case diverged():
 			cf := atFork
 			if err := forkTail(snap, tr.counterfactualRig, cf.observe); err != nil {
-				return Result{}, err
+				return nil, err
 			}
-			res.MaxDeviation, res.ImpactTick = cf.max, cf.impactTick
+			maxDev, impactTick = cf.max, cf.impactTick
 		default:
-			res.MaxDeviation, res.ImpactTick = dev.max, dev.impactTick
+			maxDev, impactTick = dev.max, dev.impactTick
 		}
 	}
-	res.score(rig, guard, att)
-	return res, nil
+	for i, g := range guards {
+		results[i].MaxDeviation, results[i].ImpactTick = maxDev, impactTick
+		results[i].score(rig, g, att)
+	}
+	return results, nil
 }
 
 // scoredRig assembles the trial's scored session: RAVEN's checks active,
-// the attack installed, the dynamic-model guard watching in shadow mode.
-func (tr Trial) scoredRig() (*sim.Rig, *core.Guard, attack, error) {
-	th := tr.Thresholds
-	if th == (core.Thresholds{}) {
-		th = core.DefaultThresholds()
-	}
-	guard, err := core.NewGuard(core.Config{
-		Integrator: tr.Integrator,
-		Thresholds: th,
-		Mode:       core.ModeMonitor,
-		Fusion:     tr.Fusion,
-		Resync:     tr.Resync,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// the attack installed, one monitor-mode guard per detector in dets order.
+func (tr Trial) scoredRig(dets []detector) (*sim.Rig, []*core.Guard, attack, error) {
 	cfg := tr.config()
 	att, err := tr.installAttack(&cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if tr.GuardAboveMalware && tr.Scenario == ScenarioB {
-		// Placement ablation: the guard resolves before the malware, so it
-		// checks frames before the attacker mutates them (the TOCTOU gap),
-		// and taps feedback without being invoked twice per write.
-		cfg.Preload = append([]interpose.Wrapper{guard}, cfg.Preload...)
-		cfg.Guards = append(cfg.Guards, feedbackOnly{guard})
-	} else {
-		cfg.Guards = append(cfg.Guards, guard)
+	guards := make([]*core.Guard, len(dets))
+	for i, d := range dets {
+		if guards[i], err = d.newGuard(); err != nil {
+			return nil, nil, nil, err
+		}
+		if d.aboveMalware && tr.Scenario == ScenarioB {
+			// Placement ablation: the guard resolves before the malware, so
+			// it checks frames before the attacker mutates them (the TOCTOU
+			// gap), and taps feedback without being invoked twice per write.
+			cfg.Preload = append([]interpose.Wrapper{guards[i]}, cfg.Preload...)
+			cfg.Guards = append(cfg.Guards, feedbackOnly{guards[i]})
+		} else {
+			cfg.Guards = append(cfg.Guards, guards[i])
+		}
 	}
 	rig, err := sim.New(cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return rig, guard, att, nil
+	return rig, guards, att, nil
 }
 
 // feedbackOnly adapts a guard that is already preloaded on the write chain

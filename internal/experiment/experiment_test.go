@@ -349,11 +349,12 @@ func TestAblationPlacementShowsTOCTOU(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation is slow")
 	}
-	res, err := RunAblationPlacement(AblationConfig{Runs: 40, BaseSeed: 71})
+	res, err := RunAblations(AblationConfig{Runs: 40, BaseSeed: 71})
 	if err != nil {
 		t.Fatal(err)
 	}
-	below, above := res.Arms[0].Confusion, res.Arms[1].Confusion
+	placement := res[2]
+	below, above := placement.Arms[0].Confusion, placement.Arms[1].Confusion
 	// The guard above the malware checks pre-attack frames: it must miss
 	// attacks the hardware-boundary guard catches.
 	if above.TPR() >= below.TPR() {
@@ -391,11 +392,11 @@ func TestAblationResyncBothUsable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation is slow")
 	}
-	res, err := RunAblationResync(AblationConfig{Runs: 30, BaseSeed: 17})
+	res, err := RunAblations(AblationConfig{Runs: 30, BaseSeed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, arm := range res.Arms {
+	for _, arm := range res[3].Arms {
 		if arm.Confusion.TPR() < 50 {
 			t.Errorf("%s: TPR %.1f below 50 — resync scheme unusable", arm.Name, arm.Confusion.TPR())
 		}

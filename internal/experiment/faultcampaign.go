@@ -21,7 +21,9 @@ type GuardPolicy int
 const (
 	// PolicyOff runs without the dynamic-model guard (RAVEN's built-in
 	// checks and the PLC watchdog stay active). Its runs establish the
-	// per-fault ground truth for the guarded cells.
+	// per-fault ground truth for the guarded cells. A monitoring guard
+	// never changes the session, so the campaign reads them off its
+	// PolicyMonitor runs with the alarm cleared.
 	PolicyOff GuardPolicy = iota + 1
 	// PolicyMonitor runs the guard in shadow mode.
 	PolicyMonitor
@@ -240,14 +242,17 @@ func (c *FaultCampaignConfig) applyDefaults() {
 
 // RunFaultCampaign executes the fault-kind × guard-policy matrix.
 //
-// Each (policy, seed) column of the matrix is one job. It simulates the
-// session head once under a dormant UNION of every kind's fault plan (no
-// event opens before campaignFaultAt, and dormant faulters are behavioral
-// identities, so the head is the same physics every kind would have
-// computed) and snapshots it at the fork point. Then it restores one rig
-// per fault kind from the snapshot — each with only its own kind's plan,
-// which restores cleanly because per-boundary fault rng streams derive
-// from Plan.Seed alone — and runs each to the end of its session.
+// Each (guarded policy, seed) column of the matrix is one job. It
+// simulates the session head once under a dormant UNION of every kind's
+// fault plan (no event opens before campaignFaultAt, and dormant faulters
+// are behavioral identities, so the head is the same physics every kind
+// would have computed) and snapshots it at the fork point. Then it
+// restores one rig per fault kind from the snapshot — each with only its
+// own kind's plan, which restores cleanly because per-boundary fault rng
+// streams derive from Plan.Seed alone — and runs each to the end of its
+// session. PolicyOff has no column of its own: a monitoring guard never
+// writes the frame, so its PolicyMonitor run is the unguarded session, and
+// the PolicyOff record is that record with the alarm cleared.
 // Classification walks the records single-threaded in the fixed legacy
 // matrix order, so the same configuration reproduces the identical matrix
 // at any worker count, byte-for-byte equal to running every cell straight
@@ -272,12 +277,13 @@ func RunFaultCampaignRange(c FaultCampaignConfig, lo, hi int) (FaultCampaignResu
 	span := hi - lo
 	kinds := c.Kinds
 	policies := AllPolicies()
+	guarded := policies[1:] // the physical columns; PolicyOff reads PolicyMonitor's
 	if span == 0 {
 		return FaultCampaignResult{}, nil
 	}
 
-	columns, err := runJobs(len(policies)*span, func(g int) ([]faultRun, error) {
-		pol, seedIdx := policies[g/span], lo+g%span
+	columns, err := runJobs(len(guarded)*span, func(g int) ([]faultRun, error) {
+		pol, seedIdx := guarded[g/span], lo+g%span
 		recs, err := c.runColumn(kinds, pol, seedIdx)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: fault campaign %v seed %d: %w", pol, seedIdx, err)
@@ -295,8 +301,10 @@ func RunFaultCampaignRange(c FaultCampaignConfig, lo, hi int) (FaultCampaignResu
 		for pi, pol := range policies {
 			cell := FaultCell{Kind: k, Policy: pol, Seeds: span}
 			for s := 0; s < span; s++ {
-				rec := columns[pi*span+s][ki]
+				// guarded[pi-1] is pol; PolicyOff reads PolicyMonitor's column.
+				rec := columns[max(pi-1, 0)*span+s][ki]
 				if pol == PolicyOff {
+					rec.alarm = false
 					truth[s] = rec.impact
 				}
 				switch classifyFaultOutcome(rec, truth[s]) {
@@ -335,11 +343,11 @@ func campaignPrefixSteps() int {
 	return int(campaignFaultAt/control.Period) - 2
 }
 
-// runColumn runs one (policy, seed) column: the shared session head under
-// the dormant union plan, then one fork per kind, each scored on from the
-// head's deviation tracker. A panic in the head crashes every kind's run
-// (each would have computed the same head); a panic in a fork crashes only
-// its own kind's run. Construction and step errors propagate.
+// runColumn runs one (guarded policy, seed) column: the shared session
+// head under the dormant union plan, then one fork per kind, each scored
+// on from the head's deviation tracker. A panic in the head crashes every
+// kind's run (each would have computed the same head); a panic in a fork
+// crashes only its own kind's run. Construction and step errors propagate.
 func (c FaultCampaignConfig) runColumn(kinds []fault.Kind, pol GuardPolicy, seedIdx int) ([]faultRun, error) {
 	planSeed := c.BaseSeed*1000 + int64(seedIdx)
 	var (
@@ -391,7 +399,7 @@ func (c FaultCampaignConfig) runColumn(kinds []fault.Kind, pol GuardPolicy, seed
 				return err
 			}
 			*rec = faultRun{
-				alarm:   guard != nil && guard.Alarms() > 0,
+				alarm:   guard.Alarms() > 0,
 				halted:  rig.PLC().EStopped() || rig.Controller().State() == statemachine.EStop,
 				impact:  fork.max > AdverseJumpThreshold,
 				maxDev:  fork.max,
@@ -416,25 +424,22 @@ func recovered(f func() error) (crashed bool, err error) {
 	return false, f()
 }
 
-// campaignRig builds one campaign rig: guard per policy (applied first, so
-// the write-path faulter lands below it at the bus), then the fault plan.
+// campaignRig builds one campaign rig: the guard in the policy's mode
+// (applied first, so the write-path faulter lands below it at the bus),
+// then the fault plan.
 func (c FaultCampaignConfig) campaignRig(plan fault.Plan, pol GuardPolicy, seedIdx int) (*sim.Rig, *core.Guard, *fault.Injector, error) {
+	guard, err := core.NewGuard(core.Config{
+		Thresholds: core.DefaultThresholds(),
+		Mode:       pol.guardMode(),
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	cfg := sim.Config{
 		Seed:   c.BaseSeed + int64(seedIdx),
 		Script: console.StandardScript(c.Teleop),
 		Traj:   trajectory.Standard()[0],
-	}
-	var guard *core.Guard
-	if pol != PolicyOff {
-		var err error
-		guard, err = core.NewGuard(core.Config{
-			Thresholds: core.DefaultThresholds(),
-			Mode:       pol.guardMode(),
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		cfg.Guards = append(cfg.Guards, guard)
+		Guards: []sim.Hook{guard},
 	}
 	inj, err := plan.Apply(&cfg)
 	if err != nil {

@@ -116,10 +116,11 @@ func latencyTrial(tr Trial) (startTick, alarmTick, impactTick int, err error) {
 		return -1, -1, -1, err
 	}
 
-	rig, guard, att, err := tr.scoredRig()
+	rig, guards, att, err := tr.scoredRig(paperDetector)
 	if err != nil {
 		return -1, -1, -1, err
 	}
+	guard := guards[0]
 	startTick, alarmTick = -1, -1
 	step := 0
 	rig.Observe(func(si sim.StepInfo) {

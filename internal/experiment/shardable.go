@@ -90,10 +90,11 @@ func shardify[P any](name string, jobs, trialsPerJob int,
 }
 
 // FaultCampaignShard is the fault campaign in shardable form (job = seed
-// index; each job runs every policy × kind session of one seed).
+// index; each job runs every guarded policy × kind session of one seed,
+// and PolicyOff reads its records off PolicyMonitor's).
 func FaultCampaignShard(c FaultCampaignConfig) CampaignShard {
 	c.applyDefaults()
-	return shardify("faultcampaign", c.Seeds, len(AllPolicies())*len(c.Kinds),
+	return shardify("faultcampaign", c.Seeds, (len(AllPolicies())-1)*len(c.Kinds),
 		func(lo, hi int) (FaultCampaignResult, error) { return RunFaultCampaignRange(c, lo, hi) },
 		mergeFaultCampaignResults,
 		func(w io.Writer, p FaultCampaignResult) error { p.Write(w); return nil },

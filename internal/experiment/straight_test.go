@@ -21,8 +21,8 @@ import (
 
 // runTrialStraight runs a trial's three sessions straight through: the
 // fault-free reference (unless cached), the counterfactual with RAVEN's
-// checks off, and the scored run with the guard in shadow mode.
-func runTrialStraight(tr Trial) (Result, error) {
+// checks off, and the scored run with detector d alone in shadow mode.
+func runTrialStraight(tr Trial, d detector) (Result, error) {
 	ref, err := tr.reference()
 	if err != nil {
 		return Result{}, err
@@ -34,10 +34,11 @@ func runTrialStraight(tr Trial) (Result, error) {
 			return Result{}, err
 		}
 	}
-	rig, guard, att, err := tr.scoredRig()
+	rig, guards, att, err := tr.scoredRig([]detector{d})
 	if err != nil {
 		return Result{}, err
 	}
+	guard := guards[0]
 	step := 0
 	rig.Observe(func(sim.StepInfo) {
 		if res.AlarmTick < 0 && guard.Alarms() > 0 {
@@ -52,11 +53,11 @@ func runTrialStraight(tr Trial) (Result, error) {
 	return res, nil
 }
 
-// runTrialsStraight runs trials straight on the campaign pool, results in
-// input order.
-func runTrialsStraight(trials []Trial) ([]Result, error) {
+// runTrialsStraight runs trials straight with detector d on the campaign
+// pool, results in input order.
+func runTrialsStraight(trials []Trial, d detector) ([]Result, error) {
 	return runJobs(len(trials), func(i int) (Result, error) {
-		return runTrialStraight(trials[i])
+		return runTrialStraight(trials[i], d)
 	})
 }
 

@@ -13,7 +13,8 @@ import (
 // sessions off one shared head, and skips the counterfactual tail when the
 // scored run trips nothing. These tests pin it byte-identical to the
 // straight oracle (runTrialStraight: every session whole from t=0) per
-// trial, at 1 and 8 workers, from a cold reference cache.
+// trial, at 1 and 8 workers, from a cold reference cache, and pin every
+// ride-along detector of a shared run to that detector run alone.
 
 // requireForkedMatchesStraight runs batches in order, straight once and
 // then forked at 1 and 8 workers, each pass from a cold cache kept across
@@ -24,7 +25,7 @@ func requireForkedMatchesStraight(t *testing.T, batches ...[]Trial) [][]Result {
 	ResetReferenceCache()
 	var straight [][]Result
 	for i, b := range batches {
-		res, err := runTrialsStraight(b)
+		res, err := runTrialsStraight(b, detector{})
 		if err != nil {
 			t.Fatalf("straight batch %d: %v", i, err)
 		}
@@ -75,7 +76,7 @@ func requireBothTailPaths(t *testing.T, trials []Trial, results []Result) {
 			if forked {
 				continue
 			}
-			twin, err := runTrialStraight(Trial{Seed: tr.Seed, TrajIdx: tr.TrajIdx, Teleop: tr.Teleop, Scenario: ScenarioNone})
+			twin, err := runTrialStraight(Trial{Seed: tr.Seed, TrajIdx: tr.TrajIdx, Teleop: tr.Teleop, Scenario: ScenarioNone}, detector{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,29 +138,61 @@ func TestFig9ForkedMatchesStraight(t *testing.T) {
 }
 
 func TestAblationTrialsForkedMatchStraight(t *testing.T) {
-	// Every ablation knob changes the guard on the scored rig the head
-	// runs on; each variant covers a scenario-B and a scenario-A trial.
-	base := []Trial{
+	// Ride-along detectors: one forked run with every ablation detector
+	// (plus the rk4 model) on the scored rig must score each detector
+	// exactly as a straight run with that detector alone does, over a
+	// scenario-B, a scenario-A and a fault-free trial, at 1 and 8 workers.
+	trials := []Trial{
 		{Seed: 21, TrajIdx: 1, Teleop: 2, Scenario: ScenarioB,
 			B: inject.ScenarioBParams{Value: 16000, Channel: 1, StartDelayTicks: 700, ActivationTicks: 64, Seed: 5}},
 		{Seed: 22, Teleop: 2, Scenario: ScenarioA,
 			A: inject.ScenarioAParams{Magnitude: 2e-4, StartAfterTicks: 600, ActivationTicks: 64}},
+		{Seed: 23, TrajIdx: 1, Teleop: 2, Scenario: ScenarioNone},
 	}
-	for _, v := range []struct {
-		name   string
-		mutate func(*Trial)
-	}{
-		{"guard-above-malware", func(tr *Trial) { tr.GuardAboveMalware = true }},
-		{"resync-kalman", func(tr *Trial) { tr.Resync = "kalman" }},
-		{"integrator-rk4", func(tr *Trial) { tr.Integrator = "rk4" }},
-		{"fusion-any", func(tr *Trial) { tr.Fusion = core.FusionAny }},
-	} {
-		t.Run(v.name, func(t *testing.T) {
-			trials := append([]Trial(nil), base...)
-			for i := range trials {
-				v.mutate(&trials[i])
+	dets := append(ablationDetectors(), detector{cfg: core.Config{Integrator: "rk4"}})
+	names := []string{"paper", "fusion-any", "thresholds-x0.5", "thresholds-x2",
+		"guard-above-malware", "resync-kalman", "integrator-rk4"}
+
+	ResetReferenceCache()
+	straight := make([][]Result, len(dets)) // [detector][trial]
+	for d, det := range dets {
+		res, err := runTrialsStraight(trials, det)
+		if err != nil {
+			t.Fatalf("%s: straight: %v", names[d], err)
+		}
+		straight[d] = res
+	}
+	distinct := false
+	for i := range trials {
+		for d := range dets {
+			distinct = distinct || straight[d][i] != straight[0][i]
+		}
+	}
+	if !distinct {
+		t.Fatal("every detector scored every trial alike; the test cannot tell detectors apart")
+	}
+
+	shared := map[int][][]Result{} // workers -> [trial][detector]
+	for _, workers := range []int{1, 8} {
+		withWorkers(t, workers, func() {
+			ResetReferenceCache()
+			res, err := runJobs(len(trials), func(i int) ([]Result, error) { return trials[i].run(dets) })
+			if err != nil {
+				t.Fatalf("workers=%d: shared run: %v", workers, err)
 			}
-			requireForkedMatchesStraight(t, trials)
+			shared[workers] = res
+		})
+	}
+	for d, name := range names {
+		t.Run(name, func(t *testing.T) {
+			for _, workers := range []int{1, 8} {
+				for i, tr := range trials {
+					if got := shared[workers][i][d]; !reflect.DeepEqual(straight[d][i], got) {
+						t.Fatalf("workers=%d: %v trial diverged\nalone:  %+v\nshared: %+v",
+							workers, tr.Scenario, straight[d][i], got)
+					}
+				}
+			}
 		})
 	}
 }

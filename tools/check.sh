@@ -76,6 +76,21 @@ stage="benchmark smoke"
 echo "==> go test -bench . -benchtime 1x ./..."
 go test -run '^$' -bench . -benchtime 1x -timeout 900s ./...
 
+# Fuzz smoke: each native fuzz target at a trust boundary explores beyond
+# its seed corpus for a few seconds (plain go test above runs only the
+# seeds). The targets: the ITP datagram decoder, the USB command and
+# feedback codecs, the thresholds loader and the two shard flag parsers.
+# go test -fuzz takes one target per invocation.
+stage="fuzz smoke"
+echo "==> fuzz smoke (6 targets, 5 s each)"
+fuzz() { go test -run '^$' -fuzz "^$2\$" -fuzztime 5s "./$1/"; }
+fuzz internal/itp FuzzDecode
+fuzz internal/usb FuzzDecodeCommand
+fuzz internal/usb FuzzDecodeFeedback
+fuzz internal/core FuzzReadThresholds
+fuzz internal/shard FuzzParseSpec
+fuzz internal/shard FuzzParseChaosPlan
+
 # Shard-equivalence smoke: the multi-process scale-out path (worker
 # frames on stdout, by-hand merge) must render the quick fault campaign
 # byte-identically to the in-process runner. This exercises the labrunner
@@ -201,11 +216,15 @@ go test -run 'TestFleetTickDoesNotAllocate' -count 1 .
 # counterfactual and scored sessions off one head and runs the
 # counterfactual tail only when the scored run tripped a check: Table IV
 # and Fig 9 trials over cold and warm reference keys (Table IV's set
-# covers a reused and a forked tail in each scenario), every ablation
-# knob, the fork-point edges, and the reference trace a forked trial
-# publishes to the cache. Table I, the fault campaign and the mitigation
-# sweep (one-value and two-value) fork each group's head in one job; their
-# sharded runs must also merge to the single-range bytes.
+# covers a reused and a forked tail in each scenario), the fork-point
+# edges, and the reference trace a forked trial publishes to the cache.
+# Ride-along detectors (TestAblationTrialsForkedMatchStraight): one forked
+# run with every ablation detector plus the rk4 model on the scored rig
+# must score each detector exactly as a straight run with that detector
+# alone, over scenario-A, scenario-B and fault-free trials. Table I, the
+# fault campaign (whose PolicyOff column is its PolicyMonitor run) and the
+# mitigation sweep (one-value and two-value) fork each group's head in one
+# job; their sharded runs must also merge to the single-range bytes.
 stage="fork equivalence guard"
 echo "==> fork equivalence guard"
 go test -run 'TestTable4ForkedMatchesStraight|TestFig9ForkedMatchesStraight|TestAblationTrialsForkedMatchStraight|TestTrialForkEdgesMatchStraight|TestForkedTrialPublishesReference|TestTable1ForkedMatchesStraight|TestFaultCampaignForkedMatchesStraight|TestMitigationSweepMatchesPerValueComparisons|TestTable1ShardIdentity|TestFaultCampaignShardIdentity|TestMitigationShardIdentity' \
