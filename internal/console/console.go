@@ -75,6 +75,27 @@ func (s Script) TotalDuration() float64 {
 	return t
 }
 
+// homed reports whether a dt tick starting at session time t falls after
+// homing, where the script's segments may put the pedal down. The tick is
+// judged at its midpoint: accumulated float time sits within one ulp of
+// the boundary, and the midpoint keeps each tick firmly on one side.
+func (s Script) homed(t, dt float64) bool {
+	return t+dt/2 >= s.StartAt+s.HomingWait
+}
+
+// HomingTicks returns how many dt ticks a console playing s emits before
+// the first one that can carry a pedal-down datagram: the start-up and
+// homing ticks, which every session of the script and seed shares whatever
+// its trajectory.
+func (s Script) HomingTicks(dt float64) int {
+	n, t := 0, 0.0
+	for !s.homed(t, dt) {
+		t += dt
+		n++
+	}
+	return n
+}
+
 // StandardScript returns a typical session: start immediately, wait 2.5 s
 // for homing, then a single teleoperation phase of the given length.
 func StandardScript(teleop float64) Script {
@@ -167,7 +188,7 @@ func (c *Console) Tick(dt float64) (itp.Packet, error) {
 	// Evaluate schedule positions at the tick midpoint: accumulated float
 	// time sits within one ulp of segment boundaries, and the midpoint
 	// keeps each tick firmly inside the segment it belongs to.
-	eligible := c.t+dt/2 >= c.script.StartAt+c.script.HomingWait && !c.inEStopPause(c.t+dt/2)
+	eligible := c.script.homed(c.t, dt) && !c.inEStopPause(c.t+dt/2)
 	if eligible && c.segmentPedal(c.segOffset+dt/2) {
 		p.PedalDown = true
 		// Differentiate the trajectory over the pedal-down clock, so

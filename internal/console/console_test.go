@@ -171,3 +171,25 @@ func TestTotalDuration(t *testing.T) {
 		t.Fatalf("TotalDuration = %v, want %v", got, want)
 	}
 }
+
+func TestHomingTicksPrecedeFirstPedalDown(t *testing.T) {
+	// The first pedal-down datagram is the one right after the homing
+	// ticks, for the standard script and for one whose boundary is not a
+	// whole number of ticks.
+	for _, script := range []Script{
+		StandardScript(1),
+		{StartAt: 0.0173, HomingWait: 0.3, Segments: []Segment{{Duration: 0.5, PedalDown: true}}},
+	} {
+		pkts := runSession(t, script, trajectory.Circle{Radius: 0.01, Freq: 0.25})
+		first := -1
+		for i, p := range pkts {
+			if p.PedalDown {
+				first = i
+				break
+			}
+		}
+		if got := script.HomingTicks(1e-3); got != first {
+			t.Fatalf("%+v: HomingTicks = %d, first pedal-down packet is %d", script, got, first)
+		}
+	}
+}

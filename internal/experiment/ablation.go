@@ -107,7 +107,8 @@ func RunAblations(cfg AblationConfig) ([]AblationResult, error) {
 		if i%7 == 0 {
 			trial.Scenario = ScenarioNone
 		}
-		return trial.run(dets)
+		res, _, err := trial.run(dets)
+		return res, err
 	})
 	if err != nil {
 		return nil, err

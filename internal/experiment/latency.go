@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"ravenguard/internal/inject"
-	"ravenguard/internal/sim"
 	"ravenguard/internal/stats"
 )
 
@@ -55,9 +54,11 @@ type latencyTicks struct {
 	start, alarm, impact int
 }
 
-// RunLatency profiles detection latency for scenario-B attacks. All
-// (value, rep) runs fan out onto the worker pool; each row's statistics
-// reduce in rep order, so the profile is identical at any worker count.
+// RunLatency profiles detection latency for scenario-B attacks. Each run
+// is a trial scoring the paper's guard (Trial.run), whose scored rig also
+// reports its first corrupted frame. All (value, rep) runs fan out onto
+// the worker pool; each row's statistics reduce in rep order, so the
+// profile is identical at any worker count.
 func RunLatency(cfg LatencyConfig) (LatencyResult, error) {
 	cfg.applyDefaults()
 	reps := cfg.RunsPerValue
@@ -75,8 +76,11 @@ func RunLatency(cfg LatencyConfig) (LatencyResult, error) {
 				Seed:            int64(rep),
 			},
 		}
-		startTick, alarmTick, impactTick, err := latencyTrial(trial)
-		return latencyTicks{startTick, alarmTick, impactTick}, err
+		res, startTick, err := trial.run(paperDetector)
+		if err != nil {
+			return latencyTicks{}, err
+		}
+		return latencyTicks{startTick, res[0].AlarmTick, res[0].ImpactTick}, nil
 	})
 	if err != nil {
 		return LatencyResult{}, err
@@ -101,41 +105,6 @@ func RunLatency(cfg LatencyConfig) (LatencyResult, error) {
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
-}
-
-// latencyTrial runs the scored session tracking when the attack started,
-// when the guard alarmed, and when the counterfactual impact would have
-// manifested.
-func latencyTrial(tr Trial) (startTick, alarmTick, impactTick int, err error) {
-	ref, err := tr.reference()
-	if err != nil {
-		return -1, -1, -1, err
-	}
-	_, impactTick, err = tr.counterfactualImpact(ref)
-	if err != nil {
-		return -1, -1, -1, err
-	}
-
-	rig, guards, att, err := tr.scoredRig(paperDetector)
-	if err != nil {
-		return -1, -1, -1, err
-	}
-	guard := guards[0]
-	startTick, alarmTick = -1, -1
-	step := 0
-	rig.Observe(func(si sim.StepInfo) {
-		if startTick < 0 && att.Injected() > 0 {
-			startTick = step
-		}
-		if alarmTick < 0 && guard.Alarms() > 0 {
-			alarmTick = step
-		}
-		step++
-	})
-	if _, err := rig.Run(0); err != nil {
-		return -1, -1, -1, err
-	}
-	return startTick, alarmTick, impactTick, nil
 }
 
 // Write renders the latency profile.

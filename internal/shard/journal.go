@@ -56,8 +56,10 @@ var ErrJournalExists = errors.New("shard: journal already exists (resume it, or 
 // header. It refuses to clobber an existing file — hours of covered
 // ranges should never vanish because a -resume flag was forgotten.
 func CreateJournal(path string, h JournalHeader, flushEvery int) (*Journal, error) {
-	h.V = JournalVersion
-	h.Journal = journalMagic
+	data, err := headerLine(h)
+	if err != nil {
+		return nil, err
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		if os.IsExist(err) {
@@ -66,12 +68,6 @@ func CreateJournal(path string, h JournalHeader, flushEvery int) (*Journal, erro
 		return nil, err
 	}
 	j := &Journal{f: f, w: bufio.NewWriter(f), FlushEvery: flushEvery}
-	data, err := json.Marshal(h)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("shard: encode journal header: %w", err)
-	}
-	data = append(data, '\n')
 	if _, err := j.w.Write(data); err != nil {
 		f.Close()
 		return nil, err
@@ -83,17 +79,22 @@ func CreateJournal(path string, h JournalHeader, flushEvery int) (*Journal, erro
 	return j, nil
 }
 
-// Append records one accepted frame, fsyncing every FlushEvery frames.
-func (j *Journal) Append(f Frame) error {
-	if f.V == 0 {
-		f.V = FrameVersion
-	}
-	data, err := json.Marshal(f)
+// headerLine encodes a journal's header line, stamped with the format
+// version and magic.
+func headerLine(h JournalHeader) ([]byte, error) {
+	h.V = JournalVersion
+	h.Journal = journalMagic
+	data, err := json.Marshal(h)
 	if err != nil {
-		return fmt.Errorf("shard: encode journal frame: %w", err)
+		return nil, fmt.Errorf("shard: encode journal header: %w", err)
 	}
-	data = append(data, '\n')
-	if _, err := j.w.Write(data); err != nil {
+	return append(data, '\n'), nil
+}
+
+// Append records one accepted frame as a frame line (WriteFrame), fsyncing
+// every FlushEvery frames.
+func (j *Journal) Append(f Frame) error {
+	if err := WriteFrame(j.w, f); err != nil {
 		return err
 	}
 	j.pending++
@@ -168,8 +169,6 @@ func LoadJournal(path string) (h JournalHeader, frames []Frame, truncated bool, 
 // guarantee: at every instant the path holds either the old journal or
 // the complete compacted one.
 func CompactJournal(path string, h JournalHeader, frames []Frame, flushEvery int) (*Journal, error) {
-	h.V = JournalVersion
-	h.Journal = journalMagic
 	tmp := path + ".compact"
 	if err := os.Remove(tmp); err != nil && !os.IsNotExist(err) {
 		return nil, err

@@ -79,10 +79,11 @@ go test -run '^$' -bench . -benchtime 1x -timeout 900s ./...
 # Fuzz smoke: each native fuzz target at a trust boundary explores beyond
 # its seed corpus for a few seconds (plain go test above runs only the
 # seeds). The targets: the ITP datagram decoder, the USB command and
-# feedback codecs, the thresholds loader and the two shard flag parsers.
+# feedback codecs, the thresholds loader, the two shard flag parsers, and
+# the shard frame-stream and journal readers.
 # go test -fuzz takes one target per invocation.
 stage="fuzz smoke"
-echo "==> fuzz smoke (6 targets, 5 s each)"
+echo "==> fuzz smoke (8 targets, 5 s each)"
 fuzz() { go test -run '^$' -fuzz "^$2\$" -fuzztime 5s "./$1/"; }
 fuzz internal/itp FuzzDecode
 fuzz internal/usb FuzzDecodeCommand
@@ -90,6 +91,8 @@ fuzz internal/usb FuzzDecodeFeedback
 fuzz internal/core FuzzReadThresholds
 fuzz internal/shard FuzzParseSpec
 fuzz internal/shard FuzzParseChaosPlan
+fuzz internal/shard FuzzReadFrames
+fuzz internal/shard FuzzLoadJournal
 
 # Shard-equivalence smoke: the multi-process scale-out path (worker
 # frames on stdout, by-hand merge) must render the quick fault campaign
@@ -227,7 +230,7 @@ go test -run 'TestFleetTickDoesNotAllocate' -count 1 .
 # job; their sharded runs must also merge to the single-range bytes.
 stage="fork equivalence guard"
 echo "==> fork equivalence guard"
-go test -run 'TestTable4ForkedMatchesStraight|TestFig9ForkedMatchesStraight|TestAblationTrialsForkedMatchStraight|TestTrialForkEdgesMatchStraight|TestForkedTrialPublishesReference|TestTable1ForkedMatchesStraight|TestFaultCampaignForkedMatchesStraight|TestMitigationSweepMatchesPerValueComparisons|TestTable1ShardIdentity|TestFaultCampaignShardIdentity|TestMitigationShardIdentity' \
+go test -run 'TestTable4ForkedMatchesStraight|TestFig9ForkedMatchesStraight|TestAblationTrialsForkedMatchStraight|TestTrialForkEdgesMatchStraight|TestForkedTrialPublishesReference|TestHomingCheckpointMatchesStraight|TestTable1ForkedMatchesStraight|TestFaultCampaignForkedMatchesStraight|TestMitigationSweepMatchesPerValueComparisons|TestTable1ShardIdentity|TestFaultCampaignShardIdentity|TestMitigationShardIdentity' \
 	-count 1 ./internal/experiment/
 
 # Allocation-regression guard: steady-state batch stepping must stay at
