@@ -150,3 +150,23 @@ func (r *Rig) Restore(s Snapshot) error {
 	r.ctrl.RestoreState(s.Ctrl)
 	return nil
 }
+
+// RestoreExcept is Restore, except that keep, one of this rig's Snapshotter
+// components, keeps its own state and needs none in s. A component that
+// has not acted yet can so resume a snapshot taken from a rig that lacked
+// it or held a differently configured one (another attack, another
+// injector seed), provided the run s was taken from had not reached the
+// point where keep would have acted either.
+func (r *Rig) RestoreExcept(s Snapshot, keep Snapshotter) error {
+	named := make(map[string]any, len(s.Named)+1)
+	for key, st := range s.Named {
+		named[key] = st
+	}
+	r.snapshotters(func(key string, sn Snapshotter) {
+		if sn == keep {
+			named[key] = sn.CaptureSnap()
+		}
+	})
+	s.Named = named
+	return r.Restore(s)
+}

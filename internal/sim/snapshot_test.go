@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"ravenguard/internal/console"
+	"ravenguard/internal/control"
 	"ravenguard/internal/core"
 	"ravenguard/internal/fault"
 	"ravenguard/internal/inject"
+	"ravenguard/internal/malware"
 	"ravenguard/internal/sim"
 	"ravenguard/internal/trajectory"
 )
@@ -253,4 +255,49 @@ func TestRestoreMissingComponentStateFails(t *testing.T) {
 	if err := guarded.Restore(snap); err == nil {
 		t.Fatal("restore into a rig with extra components succeeded; want error")
 	}
+}
+
+func TestRestoreExceptResumesCleanSnapshotIntoAttackedRig(t *testing.T) {
+	// A clean rig's snapshot, taken before the console's first pedal-down
+	// datagram, must resume an attacked rig whose dormant attack keeps its
+	// own state: the continuation matches the attacked rig's straight run.
+	// Plain Restore refuses the same snapshot, which has no attack state.
+	attacked := func() (sim.Config, *malware.Injector) {
+		cfg := guardedConfig(t, 76)
+		att, err := inject.NewScenarioB(inject.ScenarioBParams{
+			Value: 20000, Channel: 1, StartDelayTicks: 300, ActivationTicks: 64, RandomByte: true, Seed: 9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Preload = append(cfg.Preload, att)
+		return cfg, att
+	}
+	cfg, att := attacked()
+	straightRig := mustRig(t, cfg)
+	straight := trace(straightRig)
+	mustRun(t, straightRig, 0)
+	if att.Injected() == 0 {
+		t.Fatal("the straight run's attack never fired")
+	}
+
+	forkStep := console.StandardScript(4).HomingTicks(control.Period)
+	clean := mustRig(t, guardedConfig(t, 76))
+	mustRun(t, clean, forkStep)
+	snap, err := clean.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg, att = attacked()
+	if err := mustRig(t, cfg).Restore(snap); err == nil {
+		t.Fatal("restore of a clean snapshot into an attacked rig succeeded; want error")
+	}
+	fork := mustRig(t, cfg)
+	if err := fork.RestoreExcept(snap, att); err != nil {
+		t.Fatalf("restore except the attack: %v", err)
+	}
+	forked := trace(fork)
+	mustRun(t, fork, 0)
+	compareTail(t, *straight, forkStep, *forked)
 }
