@@ -19,20 +19,22 @@
 // -quick shrinks the campaigns for a fast smoke pass.
 //
 // Monte Carlo campaigns (table1, table4, fig9, mitigation, faultcampaign)
-// also scale out across processes — see EXPERIMENTS.md "Sharded campaigns"
-// and "Resilient campaigns":
+// also scale out across worker processes on one machine — see
+// EXPERIMENTS.md "Sharded campaigns" and "Resilient campaigns":
 //
 //	labrunner -exp faultcampaign -shards 4          4 supervised workers, merge, render
-//	labrunner -exp faultcampaign -shard 1/4         run one shard by hand, frames on stdout
-//	labrunner -exp faultcampaign -merge a.jsonl,b.jsonl   merge by-hand shard files, render
+//	labrunner -exp faultcampaign -shards 4 -journal c.journal [-resume]
 //
-// The -shards coordinator supervises its workers chunk by chunk: crashed,
-// hung (-deadline) or stream-corrupting workers are killed, respawned and
-// their chunks re-dispatched; -journal persists accepted frames so a
-// killed coordinator restarts with -resume running only what is missing;
-// -chaos injects seeded worker failures for drills. Sharded output is
-// byte-identical to the in-process run at any shard, chunk and worker
-// count — through every failure and resume.
+// The -shards coordinator dispatches chunks of the campaign's job space to
+// `-serve` workers it spawns itself: crashed, hung (-deadline) or
+// stream-corrupting workers are killed, respawned and their chunks
+// re-dispatched; -journal persists accepted frames so a killed coordinator
+// (or a campaign spread over several days) restarts with -resume running
+// only what is missing; -chaos injects seeded worker failures for drills.
+// Each campaign is sized in one function (campaigns.go) that the
+// in-process and sharded paths share, so sharded output is byte-identical
+// to the in-process run at any shard, chunk and worker count — through
+// every failure and resume.
 package main
 
 import (
@@ -67,11 +69,9 @@ func run() error {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile (taken after the experiments) to this file")
 
-		shardSpec = flag.String("shard", "", "worker mode: run shard i/n of the selected campaign, streaming partial-aggregate frames on stdout")
-		shards    = flag.Int("shards", 0, "coordinator mode: run the selected campaign across n supervised worker processes, merge their frames, render")
-		mergeList = flag.String("merge", "", "merge mode: comma-separated frame files written by -shard workers; merges and renders the campaign")
-		chunk     = flag.Int("chunk", 0, "jobs per streamed frame / dispatched chunk (0 = default); bounds worker memory and re-dispatch granularity")
-		seeds     = flag.Int("seeds", 0, "faultcampaign: override the seed count for scale runs (0 = campaign default)")
+		shards = flag.Int("shards", 0, "coordinator mode: run the selected campaign across n supervised worker processes, merge their frames, render")
+		chunk  = flag.Int("chunk", 0, "jobs per dispatched chunk (0 = default); bounds worker memory and re-dispatch granularity")
+		seeds  = flag.Int("seeds", 0, "faultcampaign: override the seed count for scale runs (0 = campaign default)")
 
 		serve        = flag.Bool("serve", false, "worker mode: serve coordinator-dispatched job ranges (\"lo:hi:attempt\" lines on stdin), one frame per range on stdout")
 		chaosSpec    = flag.String("chaos", "", "seeded control-plane chaos plan enacted by -serve workers (e.g. \"seed=7,crash=0.2,stall=0.1\"); coordinator passes it through")
@@ -85,7 +85,7 @@ func run() error {
 	flag.Parse()
 	experiment.SetWorkers(*workers)
 
-	opts := shardOpts{exp: *exp, quick: *quick, seed: *seed, seeds: *seeds, chunk: *chunk, workers: *workers}
+	opts := campaignOpts{exp: *exp, quick: *quick, seed: *seed, seeds: *seeds, chunk: *chunk, workers: *workers}
 	super := superOpts{
 		chaos: *chaosSpec, journal: *journalPath, resume: *resume,
 		deadline: *deadline, retries: *retries, dieAfter: *dieAfter,
@@ -94,12 +94,8 @@ func run() error {
 	switch {
 	case *serve:
 		return runShardServe(opts, *chaosSpec)
-	case *shardSpec != "":
-		return runShardWorker(opts, *shardSpec)
 	case *shards > 0:
 		return runShardCoordinator(opts, *shards, super)
-	case *mergeList != "":
-		return runShardMerge(opts, *mergeList)
 	}
 
 	if *cpuProf != "" {
@@ -256,14 +252,8 @@ func run() error {
 
 	if all || *exp == "table4" {
 		ran = true
-		runsA, runsB := 1925, 1361
-		if *quick {
-			runsA, runsB = 150, 150
-		}
 		if err := run("Table IV", func() error {
-			res, err := experiment.RunTable4(experiment.Table4Config{
-				RunsA: runsA, RunsB: runsB, BaseSeed: *seed,
-			})
+			res, err := experiment.RunTable4(table4Config(opts))
 			if err != nil {
 				return err
 			}
@@ -276,12 +266,8 @@ func run() error {
 
 	if all || *exp == "fig9" {
 		ran = true
-		reps := 20
-		if *quick {
-			reps = 5
-		}
 		if err := run("Figure 9", func() error {
-			res, err := experiment.RunFig9(experiment.Fig9Config{Reps: reps, BaseSeed: *seed})
+			res, err := experiment.RunFig9(fig9Config(opts))
 			if err != nil {
 				return err
 			}
@@ -319,17 +305,10 @@ func run() error {
 
 	if all || *exp == "mitigation" {
 		ran = true
-		attacks := 60
-		if *quick {
-			attacks = 12
-		}
 		if err := run("Mitigation comparison", func() error {
 			// One sweep shares each attacked session's head across the
 			// three values; results are byte-identical to per-value runs.
-			values := []int16{12000, 16000, 20000}
-			results, err := experiment.RunMitigationSweep(values, experiment.MitigationConfig{
-				Attacks: attacks, BaseSeed: *seed,
-			})
+			results, err := experiment.RunMitigationSweep(mitigationSweep(opts))
 			if err != nil {
 				return err
 			}
@@ -388,9 +367,8 @@ func run() error {
 
 	if all || *exp == "faultcampaign" {
 		ran = true
-		cfg := faultCampaignConfig(*quick, *seed, *seeds)
 		if err := run("Fault campaign", func() error {
-			res, err := experiment.RunFaultCampaign(cfg)
+			res, err := experiment.RunFaultCampaign(faultCampaignConfig(opts))
 			if err != nil {
 				return err
 			}

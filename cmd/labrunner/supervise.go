@@ -52,7 +52,7 @@ var errDieAfter = errors.New("halted by -dieafter")
 // campaignDigest fingerprints every flag that shapes the job-index space
 // and per-job work; a journal written under a different digest must not
 // be resumed (its partials belong to a different campaign).
-func campaignDigest(o shardOpts) string {
+func campaignDigest(o campaignOpts) string {
 	return fmt.Sprintf("seed=%d,quick=%v,seeds=%d", o.seed, o.quick, o.seeds)
 }
 
@@ -110,7 +110,7 @@ func parseDispatch(line string) (shard.Range, int, error) {
 // (the coordinator's end-of-work signal). A -chaos plan makes the worker
 // inflict seeded failures on itself — the drill surface for the
 // supervisor's recovery paths.
-func runShardServe(o shardOpts, chaosSpec string) error {
+func runShardServe(o campaignOpts, chaosSpec string) error {
 	cs, err := shardableSpec(o)
 	if err != nil {
 		return err
@@ -139,7 +139,6 @@ func runShardServe(o shardOpts, chaosSpec string) error {
 			}
 			if err := shard.WriteFrame(os.Stdout, shard.Frame{
 				Campaign: cs.Name,
-				Shards:   1,
 				Range:    r,
 				Partial:  partial,
 			}); err != nil {
@@ -181,6 +180,18 @@ func enactChaos(plan shard.ChaosPlan, campaign string, r shard.Range, attempt in
 	return nil
 }
 
+// frameMerger folds streamed frames for one campaign.
+func frameMerger(cs experiment.CampaignShard) (*shard.Merger[[]byte], func(shard.Frame) error) {
+	m := shard.NewMerger(cs.Jobs, func(a, b []byte) ([]byte, error) { return cs.Merge(a, b) })
+	observe := func(f shard.Frame) error {
+		if f.Campaign != cs.Name {
+			return fmt.Errorf("frame for campaign %q, expected %q (worker/coordinator -exp mismatch)", f.Campaign, cs.Name)
+		}
+		return m.Observe(f.Range, f.Partial)
+	}
+	return m, observe
+}
+
 // resumeJournal replays a prior coordinator's journal into the merger,
 // compacts the file down to the coalesced covered ranges, and returns
 // the reopened journal plus the uncovered job ranges still to run.
@@ -208,7 +219,7 @@ func resumeJournal(path string, want shard.JournalHeader, merger *shard.Merger[[
 	var compacted []shard.Frame
 	for _, pt := range merger.Parts() {
 		compacted = append(compacted, shard.Frame{
-			Campaign: want.Campaign, Shards: 1, Range: pt.Range, Partial: pt.Partial,
+			Campaign: want.Campaign, Range: pt.Range, Partial: pt.Partial,
 		})
 	}
 	jnl, err := shard.CompactJournal(path, want, compacted, flushEvery)
@@ -227,7 +238,7 @@ func resumeJournal(path string, want shard.JournalHeader, merger *shard.Merger[[
 // a killed coordinator restarts with -resume running only the uncovered
 // job ranges. The rendered report is byte-identical to the in-process
 // run regardless of failures, worker count, or how many resumes it took.
-func runShardCoordinator(o shardOpts, count int, so superOpts) error {
+func runShardCoordinator(o campaignOpts, count int, so superOpts) error {
 	cs, err := shardableSpec(o)
 	if err != nil {
 		return err
@@ -343,7 +354,11 @@ func runShardCoordinator(o shardOpts, count int, so superOpts) error {
 			"labrunner: campaign recovered: %d chunk retries, %d worker respawns, %d stragglers killed, %d poisoned streams, %d duplicate frames dropped\n",
 			stats.Retries, stats.Respawns, stats.Stragglers, stats.Garbage, stats.DupFrames)
 	}
-	if err := renderMerged(cs, merger, os.Stdout); err != nil {
+	full, err := merger.Result()
+	if err != nil {
+		return err
+	}
+	if err := cs.Render(os.Stdout, full); err != nil {
 		return err
 	}
 	trials := cs.Jobs * cs.TrialsPerJob

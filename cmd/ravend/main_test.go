@@ -106,7 +106,7 @@ func TestFleetDigestsMatchSingleRuns(t *testing.T) {
 	}
 }
 
-// TestFleetReportJSON pins the -fleetout document shape bench.sh consumes.
+// TestFleetReportJSON pins the -fleetout document shape.
 func TestFleetReportJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.json")
 	var out bytes.Buffer

@@ -9,7 +9,7 @@ import (
 )
 
 // fleetReportJSON is the -fleetout document: the engine's SLO report plus
-// one entry per session (tools/bench.sh folds these into BENCH_PR8.json).
+// one entry per session.
 type fleetReportJSON struct {
 	Report   fleet.Report      `json:"report"`
 	Mix      string            `json:"mix"`

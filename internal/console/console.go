@@ -124,7 +124,7 @@ type Console struct {
 }
 
 // New builds a console streaming into out. The instrument wrist follows
-// the standard weave profile; use SetWrist to change it.
+// the standard weave profile.
 func New(script Script, traj trajectory.Trajectory, out itp.Sender) (*Console, error) {
 	if err := script.Validate(); err != nil {
 		return nil, err
@@ -133,14 +133,6 @@ func New(script Script, traj trajectory.Trajectory, out itp.Sender) (*Console, e
 		return nil, fmt.Errorf("console: nil trajectory or transport")
 	}
 	return &Console{script: script, traj: traj, ori: trajectory.StandardWrist(), out: out}, nil
-}
-
-// SetWrist selects the instrument-joint motion profile (nil holds still).
-func (c *Console) SetWrist(ori trajectory.OriProfile) {
-	if ori == nil {
-		ori = trajectory.RestWrist{}
-	}
-	c.ori = ori
 }
 
 // segmentPedal reports the pedal state at the given accumulated eligible

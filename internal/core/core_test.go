@@ -81,9 +81,6 @@ func TestGuardFreezesModelWhenBraked(t *testing.T) {
 	up := usb.Command{StateNibble: statemachine.PedalUp.Nibble()}
 	upFrame := up.Encode()
 	g.OnWrite(upFrame[:])
-	if v := g.LastEstimates(); false {
-		_ = v
-	}
 	mv, jv := g.state.MotorVel(), g.state.JointVel()
 	for i := 0; i < kinematics.NumJoints; i++ {
 		if mv[i] != 0 || jv[i] != 0 {

@@ -222,7 +222,6 @@ type Guard struct {
 	alarms    int
 	mitigated int
 	estopSent bool
-	lastEst   Sample
 	stepTime  stats.Running // wall-clock ns per model step
 
 	// safeRing holds recent passing teleop payloads for ModeHoldSafe. On
@@ -318,9 +317,6 @@ func (g *Guard) Verdict() Verdict {
 		FbSuspect:  g.fbSuspect,
 	}
 }
-
-// LastEstimates returns the most recent cycle's model estimates.
-func (g *Guard) LastEstimates() Sample { return g.lastEst }
 
 // StepTime returns the wall-clock statistics of the model step in
 // nanoseconds (the Figure 8 "Avg. Time/Step" measurement).
@@ -497,7 +493,6 @@ func (g *Guard) OnWrite(buf []byte) interpose.Verdict {
 		est.MotorAccel[i] = abs((mv[i] - prevMotorVel[i]) / predictDT)
 		est.JointVel[i] = abs(jv[i])
 	}
-	g.lastEst = est
 	if !teleop {
 		return interpose.Pass
 	}
@@ -599,7 +594,6 @@ type State struct {
 	Alarms    int
 	Mitigated int
 	EStopSent bool
-	LastEst   Sample
 	StepTime  stats.Running
 
 	SafeRing     [safeRingLen][usb.NumChannels]int16
@@ -627,7 +621,6 @@ func (g *Guard) CaptureSnap() any {
 		Alarms:    g.alarms,
 		Mitigated: g.mitigated,
 		EStopSent: g.estopSent,
-		LastEst:   g.lastEst,
 		StepTime:  g.stepTime,
 
 		SafeRing:     g.safeRing,
@@ -670,7 +663,6 @@ func (g *Guard) RestoreSnap(st any) error {
 	g.alarms = s.Alarms
 	g.mitigated = s.Mitigated
 	g.estopSent = s.EStopSent
-	g.lastEst = s.LastEst
 	g.stepTime = s.StepTime
 
 	g.safeRing = s.SafeRing

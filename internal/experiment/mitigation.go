@@ -73,8 +73,10 @@ type mitigationRun struct {
 	completed bool    // session finished without E-STOP
 }
 
-// mitigationArms lists the compared regimes, in reporting order.
-var mitigationArms = []struct {
+// protectionArms lists the compared protection regimes, in reporting
+// order: the mitigation comparison and the persistence experiment both
+// attack one session per arm.
+var protectionArms = []struct {
 	name string
 	mode core.Mode // 0 = no guard
 }{
@@ -123,26 +125,27 @@ func (j *jumpTracker) finish(rig *sim.Rig) (mitigationRun, error) {
 	return mitigationRun{
 		maxLag:    j.dev.max,
 		maxJump:   j.maxJump,
-		completed: !rig.PLC().EStopped() && rig.Controller().State() != statemachine.EStop,
+		completed: completed(rig),
 	}, nil
 }
 
-// mitigationSessionRig builds one attacked session rig with the given
-// injection value.
-func mitigationSessionRig(cfg MitigationConfig, mode core.Mode, i int, value int16) (*sim.Rig, error) {
-	trial := Trial{Seed: cfg.BaseSeed + int64(8000+i%37), TrajIdx: i % 2}
+// completed reports whether a finished session completed the procedure:
+// neither the PLC nor the control software ended it in E-STOP.
+func completed(rig *sim.Rig) bool {
+	return !rig.PLC().EStopped() && rig.Controller().State() != statemachine.EStop
+}
+
+// attackedSessionRig builds one session rig of the trial with the given
+// seed and trajectory index, under a scenario-B injection with params p,
+// guarded in the given mode (0 = no guard).
+func attackedSessionRig(seed int64, trajIdx int, p inject.ScenarioBParams, mode core.Mode) (*sim.Rig, error) {
+	trial := Trial{Seed: seed, TrajIdx: trajIdx}
 	simCfg := sim.Config{
 		Seed:   trial.Seed,
 		Script: trial.script(),
 		Traj:   trial.trajectory(),
 	}
-	inj, err := inject.NewScenarioB(inject.ScenarioBParams{
-		Value:           value,
-		Channel:         i % 3,
-		StartDelayTicks: 500 + 53*(i%31),
-		ActivationTicks: cfg.Duration,
-		Seed:            int64(i),
-	})
+	inj, err := inject.NewScenarioB(p)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +222,7 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 		return MitigationPartial{}, fmt.Errorf("experiment: mitigation range %d:%d outside [0,%d)", lo, hi, cfg.Attacks)
 	}
 	span := hi - lo
-	arms := mitigationArms
+	arms := protectionArms
 	out := MitigationPartial{Values: append([]int16{}, values...)}
 	if span == 0 {
 		return out, nil
@@ -264,11 +267,19 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 // session, and one fork per further value off the head's snapshot (taken
 // only when there is one).
 func runMitigationAttack(cfg MitigationConfig, values []int16, mode core.Mode, i int) ([]mitigationRun, error) {
-	ref, err := (Trial{Seed: cfg.BaseSeed + int64(8000+i%37), TrajIdx: i % 2}).reference()
+	seed, trajIdx := cfg.BaseSeed+int64(8000+i%37), i%2
+	ref, err := (Trial{Seed: seed, TrajIdx: trajIdx}).reference()
 	if err != nil {
 		return nil, err
 	}
-	rig, err := mitigationSessionRig(cfg, mode, i, values[0])
+	attack := inject.ScenarioBParams{
+		Value:           values[0],
+		Channel:         i % 3,
+		StartDelayTicks: 500 + 53*(i%31),
+		ActivationTicks: cfg.Duration,
+		Seed:            int64(i),
+	}
+	rig, err := attackedSessionRig(seed, trajIdx, attack, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +300,8 @@ func runMitigationAttack(cfg MitigationConfig, values []int16, mode core.Mode, i
 		return nil, err
 	}
 	for vi := 1; vi < len(values); vi++ {
-		fork, err := mitigationSessionRig(cfg, mode, i, values[vi])
+		attack.Value = values[vi]
+		fork, err := attackedSessionRig(seed, trajIdx, attack, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +354,7 @@ func mergeMitigationPartials(a, b MitigationPartial) (MitigationPartial, error) 
 // comparison results.
 func FinalizeMitigationSweep(cfg MitigationConfig, p MitigationPartial) ([]MitigationResult, error) {
 	cfg.applyDefaults()
-	arms := mitigationArms
+	arms := protectionArms
 	if len(p.Arms) != len(p.Values)*len(arms) {
 		return nil, fmt.Errorf("experiment: mitigation finalize: %d cells for %d values", len(p.Arms), len(p.Values))
 	}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"ravenguard/internal/core"
 	"ravenguard/internal/inject"
-	"ravenguard/internal/sim"
-	"ravenguard/internal/statemachine"
 )
 
 // PersistenceConfig sizes the availability-under-persistent-malware
@@ -64,53 +61,24 @@ type PersistenceResult struct {
 func RunPersistence(cfg PersistenceConfig) (PersistenceResult, error) {
 	cfg.applyDefaults()
 	out := PersistenceResult{Config: cfg}
-	arms := []struct {
-		name string
-		mode core.Mode // 0 = no guard
-	}{
-		{"no guard (RAVEN only)", 0},
-		{"guard: E-STOP mitigation", core.ModeMitigate},
-		{"guard: hold-last-safe", core.ModeHoldSafe},
-	}
-	for _, armSpec := range arms {
+	for _, armSpec := range protectionArms {
 		arm := PersistenceArm{Name: armSpec.name, Attempts: cfg.Attempts}
 		for i := 0; i < cfg.Attempts; i++ {
-			trial := Trial{Seed: cfg.BaseSeed + int64(8500+i), TrajIdx: i % 2}
-			simCfg := sim.Config{
-				Seed:   trial.Seed,
-				Script: trial.script(),
-				Traj:   trial.trajectory(),
-			}
 			// The persistent malware triggers on every attempt.
-			inj, err := inject.NewScenarioB(inject.ScenarioBParams{
+			rig, err := attackedSessionRig(cfg.BaseSeed+int64(8500+i), i%2, inject.ScenarioBParams{
 				Value:           cfg.Value,
 				Channel:         i % 3,
 				StartDelayTicks: 400 + 97*(i%17),
 				ActivationTicks: cfg.Duration,
 				Seed:            int64(i),
-			})
-			if err != nil {
-				return PersistenceResult{}, err
-			}
-			simCfg.Preload = append(simCfg.Preload, inj)
-			if armSpec.mode != 0 {
-				guard, err := core.NewGuard(core.Config{
-					Thresholds: core.DefaultThresholds(),
-					Mode:       armSpec.mode,
-				})
-				if err != nil {
-					return PersistenceResult{}, err
-				}
-				simCfg.Guards = append(simCfg.Guards, guard)
-			}
-			rig, err := sim.New(simCfg)
+			}, armSpec.mode)
 			if err != nil {
 				return PersistenceResult{}, err
 			}
 			if _, err := rig.Run(0); err != nil {
 				return PersistenceResult{}, err
 			}
-			if !rig.PLC().EStopped() && rig.Controller().State() != statemachine.EStop {
+			if completed(rig) {
 				arm.Completed++
 			}
 		}

@@ -142,7 +142,7 @@ func MitigationShard(values []int16, cfg MitigationConfig) CampaignShard {
 	if len(values) == 0 {
 		values = []int16{cfg.Value}
 	}
-	return shardify("mitigation", MitigationSweepJobs(cfg), len(mitigationArms)*len(values),
+	return shardify("mitigation", MitigationSweepJobs(cfg), len(protectionArms)*len(values),
 		func(lo, hi int) (MitigationPartial, error) { return RunMitigationSweepRange(values, cfg, lo, hi) },
 		mergeMitigationPartials,
 		func(w io.Writer, p MitigationPartial) error {

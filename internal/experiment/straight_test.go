@@ -287,7 +287,7 @@ func runFaultCampaignStraight(c FaultCampaignConfig) (FaultCampaignResult, error
 func runMitigationStraight(cfg MitigationConfig) (MitigationResult, error) {
 	cfg.applyDefaults()
 	out := MitigationResult{Config: cfg}
-	arms := mitigationArms
+	arms := protectionArms
 	recs, err := runJobs(len(arms)*cfg.Attacks, func(i int) (mitigationRun, error) {
 		return runMitigationOne(cfg, arms[i/cfg.Attacks].mode, i%cfg.Attacks)
 	})

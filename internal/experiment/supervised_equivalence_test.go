@@ -75,7 +75,7 @@ func (w *chaosWorker) Dispatch(r shard.Range, attempt int) error {
 			return
 		}
 		w.send(shard.WorkerEvent{Kind: shard.EventFrame, Frame: shard.Frame{
-			V: shard.FrameVersion, Campaign: w.spec.Name, Shards: 1, Range: r, Partial: p,
+			V: shard.FrameVersion, Campaign: w.spec.Name, Range: r, Partial: p,
 		}})
 	}()
 	return nil
@@ -227,7 +227,7 @@ func TestSupervisedJournalResumeEquivalence(t *testing.T) {
 	var compacted []shard.Frame
 	for _, pt := range m2.Parts() {
 		compacted = append(compacted, shard.Frame{
-			Campaign: spec.Name, Shards: 1, Range: pt.Range, Partial: pt.Partial,
+			Campaign: spec.Name, Range: pt.Range, Partial: pt.Partial,
 		})
 	}
 	jnl2, err := shard.CompactJournal(path, header, compacted, 1)

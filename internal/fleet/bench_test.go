@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// benchSpecs mirrors the bench.sh fleet mix at n sessions: a third clean,
-// a third under scenario B with mitigation, a third under scenario A with
-// hold-safe.
+// benchSpecs mirrors the fleet SLO probe's mix (EXPERIMENTS.md, "Fleet
+// SLO") at n sessions: a third clean, a third under scenario B with
+// mitigation, a third under scenario A with hold-safe.
 func benchSpecs(n int) []Spec {
 	specs := make([]Spec, n)
 	for i := range specs {

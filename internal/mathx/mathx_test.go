@@ -59,14 +59,18 @@ func TestVec3IsFinite(t *testing.T) {
 }
 
 func TestRotationOrthonormal(t *testing.T) {
+	basis := [3]Vec3{{X: 1}, {Y: 1}, {Z: 1}}
 	for _, r := range []Mat3{RotX(0.7), RotY(-1.2), RotZ(2.9)} {
-		// R * R^T = I for any rotation.
-		prod := r.Mul(r.Transpose())
-		id := Identity3()
+		// R^T R = I for any rotation: R's columns, the images of the
+		// basis vectors, are unit length and mutually orthogonal.
 		for i := 0; i < 3; i++ {
 			for j := 0; j < 3; j++ {
-				if !ApproxEqual(prod.M[i][j], id.M[i][j], 1e-12) {
-					t.Fatalf("R R^T [%d][%d] = %v", i, j, prod.M[i][j])
+				want := 0.0
+				if i == j {
+					want = 1
+				}
+				if got := r.Apply(basis[i]).Dot(r.Apply(basis[j])); !ApproxEqual(got, want, 1e-12) {
+					t.Fatalf("(R^T R)[%d][%d] = %v", i, j, got)
 				}
 			}
 		}

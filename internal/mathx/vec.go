@@ -62,11 +62,6 @@ type Mat3 struct {
 	M [3][3]float64
 }
 
-// Identity3 returns the 3x3 identity matrix.
-func Identity3() Mat3 {
-	return Mat3{M: [3][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}}
-}
-
 // Mul returns the matrix product a * b.
 func (a Mat3) Mul(b Mat3) Mat3 {
 	var out Mat3
@@ -89,18 +84,6 @@ func (a Mat3) Apply(v Vec3) Vec3 {
 		Y: a.M[1][0]*v.X + a.M[1][1]*v.Y + a.M[1][2]*v.Z,
 		Z: a.M[2][0]*v.X + a.M[2][1]*v.Y + a.M[2][2]*v.Z,
 	}
-}
-
-// Transpose returns the transpose of a. For rotation matrices this is the
-// inverse.
-func (a Mat3) Transpose() Mat3 {
-	var out Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			out.M[i][j] = a.M[j][i]
-		}
-	}
-	return out
 }
 
 // RotX returns the rotation matrix about the X axis by angle radians.

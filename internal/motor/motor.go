@@ -97,16 +97,10 @@ func (s Spec) CountsPerRad() float64 {
 	return float64(s.EncoderCPR) / (2 * math.Pi)
 }
 
-// Quantize returns the shaft angle as the encoder would report it
-// (floor-quantised to whole counts), in radians. Encoder quantisation is a
-// real noise source for the detector's model resynchronisation, so the
-// plant applies it to all feedback.
-func (s Spec) Quantize(angle float64) float64 {
-	cpr := s.CountsPerRad()
-	return math.Floor(angle*cpr) / cpr
-}
-
-// EncoderCounts converts a shaft angle to whole encoder counts.
+// EncoderCounts converts a shaft angle to whole encoder counts
+// (floor-quantised). Encoder quantisation is a real noise source for the
+// detector's model resynchronisation, and the plant applies it to all
+// feedback.
 func (s Spec) EncoderCounts(angle float64) int32 {
 	return int32(math.Floor(angle * s.CountsPerRad()))
 }

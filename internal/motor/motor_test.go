@@ -89,13 +89,17 @@ func TestTorqueToDACMonotoneQuick(t *testing.T) {
 	}
 }
 
+// reported is the shaft angle as the encoder reports it: the angle of
+// its whole-count reading.
+func reported(s Spec, angle float64) float64 { return s.AngleFromCounts(s.EncoderCounts(angle)) }
+
 func TestQuantizeResolution(t *testing.T) {
 	s := RE40()
 	res := 2 * math.Pi / float64(s.EncoderCPR)
 	for _, angle := range []float64{0, 0.1, 1.234, 17.5, -3.3} {
-		q := s.Quantize(angle)
+		q := reported(s, angle)
 		if diff := angle - q; diff < 0 || diff >= res+1e-12 {
-			t.Errorf("Quantize(%v) = %v, diff %v outside [0, %v)", angle, q, diff, res)
+			t.Errorf("encoder reports %v as %v, diff %v outside [0, %v)", angle, q, diff, res)
 		}
 	}
 }
@@ -103,20 +107,20 @@ func TestQuantizeResolution(t *testing.T) {
 func TestQuantizeIdempotent(t *testing.T) {
 	s := RE30()
 	for _, angle := range []float64{0.37, -2.2, 100.5} {
-		q := s.Quantize(angle)
-		if q2 := s.Quantize(q); math.Abs(q2-q) > 1e-12 {
-			t.Errorf("Quantize not idempotent at %v: %v then %v", angle, q, q2)
+		q := reported(s, angle)
+		if q2 := reported(s, q); math.Abs(q2-q) > 1e-12 {
+			t.Errorf("encoder quantisation not idempotent at %v: %v then %v", angle, q, q2)
 		}
 	}
 }
 
 func TestEncoderCountsRoundTrip(t *testing.T) {
 	s := RE40()
+	half := 0.5 / s.CountsPerRad()
 	for _, angle := range []float64{0, 1.5, -0.7, 12.0} {
 		counts := s.EncoderCounts(angle)
-		back := s.AngleFromCounts(counts)
-		if math.Abs(back-s.Quantize(angle)) > 1e-12 {
-			t.Errorf("counts round trip at %v: %v", angle, back)
+		if back := s.EncoderCounts(s.AngleFromCounts(counts) + half); back != counts {
+			t.Errorf("counts round trip at %v: %d -> %d", angle, counts, back)
 		}
 	}
 }

@@ -279,11 +279,18 @@ func (tr *Trajectory) Ori(t float64) [3]float64 {
 	return out
 }
 
+// locate returns the tick index at or before t and the fraction past it.
+// The index is clamped to the last tick in float, before the conversion:
+// a recorded period can be small enough (or t large enough) that t/dt
+// overflows int.
 func (tr *Trajectory) locate(t float64) (int, float64) {
 	if t <= 0 {
 		return 0, 0
 	}
 	ticks := t / tr.dt
+	if last := len(tr.cum) - 1; !(ticks < float64(last)) {
+		return last, 0
+	}
 	idx := int(ticks)
 	return idx, ticks - float64(idx)
 }

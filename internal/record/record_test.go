@@ -204,6 +204,28 @@ func TestReplayClampsBeyondEnd(t *testing.T) {
 	}
 }
 
+// TestReplayTinyPeriodClamps pins the replay of a recording whose period
+// is positive but tiny: t/period overflows int, and the lookup must clamp
+// to the recording's end rather than index with the overflowed value.
+func TestReplayTinyPeriodClamps(t *testing.T) {
+	rec, err := Read(strings.NewReader(`{"version":1,"period_s":1e-300}
+{"t":0.001,"pedal":true,"start":true,"delta":[0.001,0,0],"ori":[0.5,0,0]}
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := rec.Trajectory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := replay.Pos(1.0); got.X != 0.001 {
+		t.Fatalf("Pos(1.0) = %+v, want the recording's end", got)
+	}
+	if got := replay.Ori(math.Inf(1)); got[0] != 0.5 {
+		t.Fatalf("Ori(+Inf) = %v, want the recording's end", got)
+	}
+}
+
 func TestTrajectoryErrors(t *testing.T) {
 	if _, err := (Recording{}).Trajectory(); err == nil {
 		t.Fatal("empty recording accepted")

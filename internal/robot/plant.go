@@ -351,9 +351,6 @@ func (p *Plant) EncoderCounts() [usb.NumChannels]int32 {
 // pitch, grasp).
 func (p *Plant) WristPos() [wrist.NumJoints]float64 { return p.wrist.Pos() }
 
-// ToolOrientation returns the instrument's orientation matrix.
-func (p *Plant) ToolOrientation() mathx.Mat3 { return wrist.Orientation(p.wrist.Pos()) }
-
 // Transmission returns the plant's (perturbed) transmission ratios; the
 // control software uses the nominal ones, which is part of the model
 // mismatch.

@@ -13,14 +13,14 @@ import (
 const FrameVersion = 1
 
 // Frame is one streamed partial aggregate: the mergeable reduction of one
-// chunk of one shard's job range, emitted as a single JSON line on the
+// dispatched chunk of the job space, emitted as a single JSON line on the
 // worker's stdout. Workers emit a frame per chunk and then forget the
-// chunk, so neither side of the pipe retains per-trial state.
+// chunk, so neither side of the pipe retains per-trial state. Frames and
+// journals written by older versions also carry "shard"/"shards" keys;
+// decoding ignores them.
 type Frame struct {
 	V        int             `json:"v"`
 	Campaign string          `json:"campaign"`
-	Shard    int             `json:"shard"`
-	Shards   int             `json:"shards"`
 	Range    Range           `json:"range"`
 	Partial  json.RawMessage `json:"partial"`
 }

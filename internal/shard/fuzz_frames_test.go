@@ -21,9 +21,9 @@ import (
 // with escapes in both the campaign name and the partial.
 func fuzzFrames() []Frame {
 	return []Frame{
-		{Campaign: "table4", Shard: 0, Shards: 2, Range: Range{Lo: 0, Hi: 256}, Partial: json.RawMessage(`{"n":3,"sum":[1,2.5]}`)},
-		{Campaign: "table4", Shard: 1, Shards: 2, Range: Range{Lo: 256, Hi: 300}, Partial: json.RawMessage(`null`)},
-		{Campaign: "<fig9> é", Shard: 3, Shards: 4, Range: Range{Lo: -1, Hi: 7}, Partial: json.RawMessage(`{"s":"a\nb"}`)},
+		{Campaign: "table4", Range: Range{Lo: 0, Hi: 256}, Partial: json.RawMessage(`{"n":3,"sum":[1,2.5]}`)},
+		{Campaign: "table4", Range: Range{Lo: 256, Hi: 300}, Partial: json.RawMessage(`null`)},
+		{Campaign: "<fig9> é", Range: Range{Lo: -1, Hi: 7}, Partial: json.RawMessage(`{"s":"a\nb"}`)},
 	}
 }
 

@@ -1,42 +1,11 @@
 package shard
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// The shard flags are the coordinator's command line to its workers and an
-// operator's to a by-hand worker. These targets drive their parsers with
-// arbitrary strings, seeded from the forms the encoders print. Plain go
-// test runs the seed corpus; go test -fuzz explores from it.
-
-// FuzzParseSpec: no panic, a rejected spec returns zeros, and an accepted
-// i/n reformats with %d/%d to an equal spec.
-func FuzzParseSpec(f *testing.F) {
-	for _, s := range [][2]int{{0, 1}, {0, 4}, {3, 4}, {4, 4}, {-1, 2}, {1, 0}} {
-		f.Add(fmt.Sprintf("%d/%d", s[0], s[1]))
-	}
-	for _, s := range []string{"", "1", "/", "a/b", "+1/04", "1/2/3", " 0/4"} {
-		f.Add(s)
-	}
-
-	f.Fuzz(func(t *testing.T, s string) {
-		i, k, err := ParseSpec(s)
-		if err != nil {
-			if i != 0 || k != 0 {
-				t.Fatalf("%q rejected but returned %d/%d", s, i, k)
-			}
-			return
-		}
-		if k < 1 || i < 0 || i >= k {
-			t.Fatalf("%q accepted as out-of-range shard %d/%d", s, i, k)
-		}
-		i2, k2, err := ParseSpec(fmt.Sprintf("%d/%d", i, k))
-		if err != nil || i2 != i || k2 != k {
-			t.Fatalf("%q -> %d/%d does not round-trip: %d/%d, %v", s, i, k, i2, k2, err)
-		}
-	})
-}
+// The -chaos plan is the coordinator's command line to its workers. This
+// target drives its parser with arbitrary strings, seeded from the forms
+// ChaosPlan.String prints. Plain go test runs the seed corpus; go test
+// -fuzz explores from it.
 
 // FuzzParseChaosPlan: no panic, a rejected plan returns the zero plan, and
 // an accepted plan's String() parses back to an equal plan.

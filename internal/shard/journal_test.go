@@ -10,7 +10,7 @@ import (
 
 func testFrame(r Range) Frame {
 	p, _ := json.Marshal(sumOver(r))
-	return Frame{V: FrameVersion, Campaign: "toy", Shards: 1, Range: r, Partial: p}
+	return Frame{V: FrameVersion, Campaign: "toy", Range: r, Partial: p}
 }
 
 func testHeader() JournalHeader {
@@ -182,7 +182,7 @@ func TestCompactJournal(t *testing.T) {
 	var compacted []Frame
 	for _, pt := range m.Parts() {
 		p, _ := json.Marshal(pt.Partial)
-		compacted = append(compacted, Frame{Campaign: "toy", Shards: 1, Range: pt.Range, Partial: p})
+		compacted = append(compacted, Frame{Campaign: "toy", Range: pt.Range, Partial: p})
 	}
 
 	j2, err := CompactJournal(path, testHeader(), compacted, 1)
@@ -208,6 +208,66 @@ func TestCompactJournal(t *testing.T) {
 	// the post-compaction append.
 	if len(got) != 2 || got[0].Range != (Range{0, 12}) || got[1].Range != (Range{4, 8}) {
 		t.Fatalf("compacted frames = %+v", got)
+	}
+}
+
+// TestJournalResumesOverLegacyFrames pins that a journal written before
+// Frame lost its Shard/Shards fields still resumes: its frames load with
+// the old keys ignored, replay into a merger, compact, and leave exactly
+// the unjournaled range to run.
+func TestJournalResumesOverLegacyFrames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.journal")
+	header, err := headerLine(testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := string(header) +
+		`{"v":1,"campaign":"toy","shard":0,"shards":1,"range":{"lo":0,"hi":4},"partial":{"Sum":6}}` + "\n" +
+		`{"v":1,"campaign":"toy","shard":0,"shards":1,"range":{"lo":8,"hi":12},"partial":{"Sum":38}}` + "\n"
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	h, frames, truncated, err := LoadJournal(path)
+	if err != nil || truncated || h.Campaign != "toy" || len(frames) != 2 {
+		t.Fatalf("load: header %+v, %d frames, truncated %v, %v", h, len(frames), truncated, err)
+	}
+	m := NewMerger(12, mergeSum)
+	for _, f := range frames {
+		var p sumPartial
+		if err := json.Unmarshal(f.Partial, &p); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Observe(f.Range, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if missing := m.Missing(); len(missing) != 1 || missing[0] != (Range{4, 8}) {
+		t.Fatalf("missing after replay = %v, want [4:8]", missing)
+	}
+	var compacted []Frame
+	for _, pt := range m.Parts() {
+		p, _ := json.Marshal(pt.Partial)
+		compacted = append(compacted, Frame{Campaign: "toy", Range: pt.Range, Partial: p})
+	}
+	j, err := CompactJournal(path, testHeader(), compacted, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(testFrame(Range{4, 8})); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Observe(Range{4, 8}, sumOver(Range{4, 8})); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.Result(); err != nil || got != sumOver(Range{0, 12}) {
+		t.Fatalf("resumed result = %+v, %v; want %+v", got, err, sumOver(Range{0, 12}))
+	}
+	if _, frames, _, err := LoadJournal(path); err != nil || len(frames) != 3 {
+		t.Fatalf("compacted journal reloads as %d frames, %v; want 3", len(frames), err)
 	}
 }
 

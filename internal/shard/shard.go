@@ -1,7 +1,7 @@
-// Package shard scales a campaign across worker processes: it partitions
-// the campaign's deterministic job-index space into contiguous ranges, one
-// per worker, and merges the partial aggregates the workers stream back as
-// JSON frames.
+// Package shard scales a campaign across worker processes: it cuts the
+// campaign's deterministic job-index space into contiguous chunks,
+// supervises the worker processes it dispatches them to, and merges the
+// partial aggregates the workers stream back as JSON frames.
 //
 // The contract that makes this exact rather than approximate: a campaign's
 // partial aggregate over a job range must merge with its neighbour into
@@ -16,8 +16,6 @@ package shard
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Range is a half-open interval [Lo, Hi) of job indices.
@@ -53,33 +51,6 @@ func Split(n, k int) []Range {
 		lo += size
 	}
 	return out
-}
-
-// Of returns shard i of k over [0, n).
-func Of(n, i, k int) (Range, error) {
-	if k < 1 {
-		return Range{}, fmt.Errorf("shard: shard count %d must be >= 1", k)
-	}
-	if i < 0 || i >= k {
-		return Range{}, fmt.Errorf("shard: shard index %d out of range [0,%d)", i, k)
-	}
-	return Split(n, k)[i], nil
-}
-
-// ParseSpec parses a "i/k" shard specification. The whole string must be
-// the two integers and the one slash: "1/4/8" or "1/4 " is rejected, not
-// read as shard 1 of 4.
-func ParseSpec(s string) (i, k int, err error) {
-	is, ks, ok := strings.Cut(s, "/")
-	i, errI := strconv.Atoi(is)
-	k, errK := strconv.Atoi(ks)
-	if !ok || errI != nil || errK != nil {
-		return 0, 0, fmt.Errorf("shard: bad shard spec %q, want i/n (e.g. 0/4)", s)
-	}
-	if k < 1 || i < 0 || i >= k {
-		return 0, 0, fmt.Errorf("shard: bad shard spec %q: index must be in [0,%d)", s, k)
-	}
-	return i, k, nil
 }
 
 // Chunks cuts r into consecutive pieces of at most size jobs. Workers

@@ -40,58 +40,6 @@ func TestSplitCoversAndBalances(t *testing.T) {
 	}
 }
 
-func TestOfMatchesSplit(t *testing.T) {
-	rs := Split(23, 5)
-	for i := range rs {
-		r, err := Of(23, i, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r != rs[i] {
-			t.Fatalf("Of(23,%d,5) = %v, Split gives %v", i, r, rs[i])
-		}
-	}
-	if _, err := Of(23, 5, 5); err == nil {
-		t.Fatal("Of with index == count should fail")
-	}
-	if _, err := Of(23, -1, 5); err == nil {
-		t.Fatal("Of with negative index should fail")
-	}
-}
-
-// TestParseSpec pins that a spec parses only when the whole string is
-// i/k: trailing input after either number is an error, not silently
-// ignored.
-func TestParseSpec(t *testing.T) {
-	for _, tc := range []struct {
-		spec string
-		i, k int
-		ok   bool
-	}{
-		{spec: "2/8", i: 2, k: 8, ok: true},
-		{spec: "0/1", i: 0, k: 1, ok: true},
-		{spec: "3/4", i: 3, k: 4, ok: true},
-		{spec: ""},
-		{spec: "3"},
-		{spec: "3/"},
-		{spec: "/4"},
-		{spec: "4/4"},
-		{spec: "-1/4"},
-		{spec: "a/b"},
-		{spec: "1/4/8"},
-		{spec: "1/4junk"},
-		{spec: "1/4 "},
-	} {
-		i, k, err := ParseSpec(tc.spec)
-		if tc.ok && (err != nil || i != tc.i || k != tc.k) {
-			t.Errorf("ParseSpec(%q) = %d, %d, %v; want %d, %d, nil", tc.spec, i, k, err, tc.i, tc.k)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("ParseSpec(%q) = %d, %d, nil; want an error", tc.spec, i, k)
-		}
-	}
-}
-
 func TestChunks(t *testing.T) {
 	cs := Chunks(Range{Lo: 5, Hi: 22}, 6)
 	want := []Range{{5, 11}, {11, 17}, {17, 22}}
@@ -250,8 +198,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	partial, _ := json.Marshal(sumPartial{Sum: 41})
 	frames := []Frame{
-		{Campaign: "faultcampaign", Shard: 0, Shards: 2, Range: Range{0, 3}, Partial: partial},
-		{Campaign: "faultcampaign", Shard: 1, Shards: 2, Range: Range{3, 6}, Partial: partial},
+		{Campaign: "faultcampaign", Range: Range{0, 3}, Partial: partial},
+		{Campaign: "faultcampaign", Range: Range{3, 6}, Partial: partial},
 	}
 	for _, f := range frames {
 		if err := WriteFrame(&buf, f); err != nil {
@@ -279,6 +227,20 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFramesIgnoresLegacyShardKeys pins that frames written before
+// Frame lost its Shard/Shards fields still decode: the old keys are
+// ignored, and the range and partial come through.
+func TestReadFramesIgnoresLegacyShardKeys(t *testing.T) {
+	line := `{"v":1,"campaign":"toy","shard":1,"shards":2,"range":{"lo":3,"hi":6},"partial":{"Sum":12}}` + "\n"
+	var got []Frame
+	if err := ReadFrames(bytes.NewBufferString(line), func(f Frame) error { got = append(got, f); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Campaign != "toy" || got[0].Range != (Range{3, 6}) || string(got[0].Partial) != `{"Sum":12}` {
+		t.Fatalf("legacy frame decoded as %+v", got)
+	}
+}
+
 func TestReadFramesRejectsGarbage(t *testing.T) {
 	err := ReadFrames(bytes.NewBufferString("not json\n"), func(Frame) error { return nil })
 	if err == nil {
@@ -299,7 +261,7 @@ func TestReadFramesTruncatedTail(t *testing.T) {
 	var buf bytes.Buffer
 	whole := Range{0, 3}
 	partial, _ := json.Marshal(sumPartial{Sum: 3})
-	if err := WriteFrame(&buf, Frame{Campaign: "toy", Shards: 1, Range: whole, Partial: partial}); err != nil {
+	if err := WriteFrame(&buf, Frame{Campaign: "toy", Range: whole, Partial: partial}); err != nil {
 		t.Fatal(err)
 	}
 	buf.WriteString(`{"v":1,"campaign":"toy","ran`) // no trailing newline
@@ -315,7 +277,7 @@ func TestReadFramesTruncatedTail(t *testing.T) {
 
 	// A complete final frame merely missing its newline is still a frame.
 	buf.Reset()
-	if err := WriteFrame(&buf, Frame{Campaign: "toy", Shards: 1, Range: whole, Partial: partial}); err != nil {
+	if err := WriteFrame(&buf, Frame{Campaign: "toy", Range: whole, Partial: partial}); err != nil {
 		t.Fatal(err)
 	}
 	buf.Truncate(buf.Len() - 1)

@@ -30,7 +30,7 @@ func (w *scriptedWorker) send(ev WorkerEvent) {
 func (w *scriptedWorker) frame(r Range) {
 	p, _ := json.Marshal(sumOver(r))
 	w.send(WorkerEvent{Kind: EventFrame, Frame: Frame{
-		V: FrameVersion, Campaign: "toy", Shards: 1, Range: r, Partial: p,
+		V: FrameVersion, Campaign: "toy", Range: r, Partial: p,
 	}})
 }
 

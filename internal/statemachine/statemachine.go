@@ -107,8 +107,7 @@ func (e Event) String() string {
 // Machine is the operational state machine. The zero value is not valid;
 // use New. Machine is not safe for concurrent use: the control loop owns it.
 type Machine struct {
-	state       State
-	transitions int
+	state State
 }
 
 // New returns a machine latched in E-STOP, as the robot powers up.
@@ -116,10 +115,6 @@ func New() *Machine { return &Machine{state: EStop} }
 
 // State returns the current state.
 func (m *Machine) State() State { return m.state }
-
-// Transitions returns how many state changes have occurred (for tests and
-// session statistics).
-func (m *Machine) Transitions() int { return m.transitions }
 
 // Apply processes an event and returns the resulting state plus whether the
 // event caused a transition. Events that are not legal in the current state
@@ -150,7 +145,6 @@ func (m *Machine) Apply(ev Event) (State, bool) {
 	changed := next != m.state
 	if changed {
 		m.state = next
-		m.transitions++
 	}
 	return m.state, changed
 }
@@ -162,6 +156,3 @@ func (m *Machine) Apply(ev Event) (State, bool) {
 func (m *Machine) BrakesEngaged() bool {
 	return m.state == EStop || m.state == PedalUp
 }
-
-// Teleoperating reports whether console inputs drive the arm (Pedal Down).
-func (m *Machine) Teleoperating() bool { return m.state == PedalDown }

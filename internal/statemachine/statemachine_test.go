@@ -22,12 +22,9 @@ func TestHappyPath(t *testing.T) {
 		{EvEStop, EStop},
 	}
 	for _, s := range steps {
-		if got, _ := m.Apply(s.ev); got != s.want {
-			t.Fatalf("after %v: state = %v, want %v", s.ev, got, s.want)
+		if got, changed := m.Apply(s.ev); got != s.want || !changed {
+			t.Fatalf("after %v: state = %v (changed %v), want a transition to %v", s.ev, got, changed, s.want)
 		}
-	}
-	if m.Transitions() != len(steps) {
-		t.Fatalf("Transitions = %d, want %d", m.Transitions(), len(steps))
 	}
 }
 
@@ -78,7 +75,7 @@ func TestEStopFromEveryState(t *testing.T) {
 
 func TestBrakesAndTeleop(t *testing.T) {
 	m := New()
-	if !m.BrakesEngaged() || m.Teleoperating() {
+	if !m.BrakesEngaged() || m.State() == PedalDown {
 		t.Fatal("E-STOP must brake and not teleoperate")
 	}
 	m.Apply(EvStartButton)
@@ -90,7 +87,7 @@ func TestBrakesAndTeleop(t *testing.T) {
 		t.Fatal("Pedal Up must brake")
 	}
 	m.Apply(EvPedalPress)
-	if m.BrakesEngaged() || !m.Teleoperating() {
+	if m.BrakesEngaged() || m.State() != PedalDown {
 		t.Fatal("Pedal Down must release brakes and teleoperate")
 	}
 }

@@ -157,17 +157,6 @@ func StandardWrist() OriProfile {
 	return WristWeave{RollAmp: 0.6, PitchAmp: 0.35, GraspAmp: 0.5, Freq: 0.15}
 }
 
-// RestWrist holds the instrument still.
-type RestWrist struct{}
-
-var _ OriProfile = RestWrist{}
-
-// Ori implements OriProfile.
-func (RestWrist) Ori(float64) [3]float64 { return [3]float64{} }
-
-// Name implements OriProfile.
-func (RestWrist) Name() string { return "rest-wrist" }
-
 // Rest holds perfectly still; useful as a control workload.
 type Rest struct{}
 

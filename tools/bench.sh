@@ -1,69 +1,50 @@
 #!/bin/sh
-# bench.sh — run the hot-path benchmarks with -benchmem and emit a
-# machine-readable JSON record (ns/op, B/op, allocs/op plus any custom
-# metrics each benchmark reports), so perf changes leave a trajectory the
-# repo can diff PR over PR (see BENCH_PR3.json for the recorded format).
+# bench.sh — the two campaign probes perfbench does not take: how a
+# supervised labrunner campaign scales over worker processes, and what its
+# journal costs. Emits one JSON record. (Per-layer and fleet numbers come
+# from perfbench/run.sh; Go micro-benchmarks from go test -bench; the fleet
+# SLO grid from ravend -fleet N -workers W -fleetout FILE.)
 #
-# Usage: tools/bench.sh [-p pattern] [-n count] [-t benchtime] [-o file]
-#                       [-s exp] [-x "extra labrunner args"]
-#   -p  benchmark regexp (default: the component micro-benchmarks; pass
-#       '.' with -t 1x to smoke every campaign benchmark too)
-#   -n  repetitions per benchmark, go test -count (default 3)
-#   -t  go test -benchtime (default 100ms)
-#   -o  output JSON path (default stdout)
-#   -s  also measure multi-process shard scaling of this campaign
+# Usage: tools/bench.sh [-s exp] [-j exp] [-x "extra labrunner args"] [-o file]
+#   -s  measure multi-process shard scaling of this campaign
 #       (labrunner -exp <exp> -quick -shards {1,2,4,8}); each run's
 #       trials/sec, peak worker RSS and total worker CPU land in a
 #       "shard_scaling" array in the JSON
-#   -x  extra labrunner flags for the -s runs (e.g. "-seeds 8")
-#   -j  also measure journaling overhead of this campaign: the supervised
-#       coordinator run twice (with and without -journal, best wall of 5
-#       each), reported as a "journal_overhead" object in the JSON — the
+#   -j  measure journaling overhead of this campaign: the supervised
+#       coordinator run with and without -journal (best wall of 5 each),
+#       reported as a "journal_overhead" object in the JSON — the
 #       fault-tolerance budget is <5% over the plain run
-#   -f  also run the fleet SLO probe at these session counts (e.g.
-#       -f "64 512 2048"): ravend -fleet N on a mixed attack/guard fleet,
-#       each run's sessions/core, tick p50/p99/max vs the 1 ms budget and
-#       peak RSS land in a "fleet_slo" array in the JSON (the BENCH_PR8
-#       measurement)
-#   -w  worker counts for the -f probe (default "1"); every session count
-#       is run at every worker count, so -f "64 512" -w "1 2 4" emits a
-#       6-row scaling grid
+#   -x  extra labrunner flags for the -s and -j runs (e.g. "-seeds 8")
+#   -o  output JSON path (default stdout)
 set -eu
 
 cd "$(dirname "$0")/.."
 
-pattern='Fused|DynamicsStep|USBCommandCodec|InterposeChainWrite|GuardOnWrite|FullSimStep|Kinematics'
-count=3
-benchtime=100ms
 out=""
 shardexp=""
 shardextra=""
 journalexp=""
-fleetsizes=""
-fleetworkers="1"
-while getopts "p:n:t:o:s:x:j:f:w:" opt; do
+while getopts "o:s:x:j:" opt; do
 	case $opt in
-	p) pattern=$OPTARG ;;
-	n) count=$OPTARG ;;
-	t) benchtime=$OPTARG ;;
 	o) out=$OPTARG ;;
 	s) shardexp=$OPTARG ;;
 	x) shardextra=$OPTARG ;;
 	j) journalexp=$OPTARG ;;
-	f) fleetsizes=$OPTARG ;;
-	w) fleetworkers=$OPTARG ;;
 	*) exit 2 ;;
 	esac
 done
+if [ -z "$shardexp" ] && [ -z "$journalexp" ]; then
+	echo "usage: tools/bench.sh [-s exp] [-j exp] [-x \"extra labrunner args\"] [-o file]" >&2
+	exit 2
+fi
 
-tmp=$(mktemp)
-shardtmp=$(mktemp)
-journaltmp=$(mktemp)
-fleettmp=$(mktemp)
-trap 'rm -f "$tmp" "$shardtmp" "$journaltmp" "$fleettmp" "$tmp.labrunner" "$tmp.journal" "$tmp.ravend" "$tmp.fleet"' EXIT
-
-go test -run '^$' -bench "$pattern" -benchmem -count "$count" \
-	-benchtime "$benchtime" ./... | tee "$tmp"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+shardtmp="$tmp/shards.txt"
+journaltmp="$tmp/journal.txt"
+: >"$shardtmp"
+: >"$journaltmp"
+go build -o "$tmp/labrunner" ./cmd/labrunner
 
 # Shard-scaling sweep: spawn the campaign at 1/2/4/8 worker processes and
 # record each coordinator summary line. The absolute trials/sec is the
@@ -71,11 +52,10 @@ go test -run '^$' -bench "$pattern" -benchmem -count "$count" \
 # count (the merged result is byte-identical at every shard count either
 # way — that is what the shard_equivalence tests pin).
 if [ -n "$shardexp" ]; then
-	go build -o "$tmp.labrunner" ./cmd/labrunner
 	for n in 1 2 4 8; do
 		echo "==> labrunner -exp $shardexp -quick -shards $n $shardextra" >&2
 		# shellcheck disable=SC2086 — shardextra is intentionally re-split
-		"$tmp.labrunner" -exp "$shardexp" -quick -shards "$n" $shardextra |
+		"$tmp/labrunner" -exp "$shardexp" -quick -shards "$n" $shardextra |
 			sed -nE 's|^\(([0-9]+) shards: ([0-9]+) jobs, ([0-9]+) trials in ([0-9.]+)s = ([0-9.]+) trials/s; peak worker RSS ([0-9.]+) MB; worker CPU ([0-9.]+)s\)$|\1 \2 \3 \4 \5 \6 \7|p' |
 			while read -r shards jobs trials wall rate rss cpu; do
 				printf '{"shards": %s, "jobs": %s, "trials": %s, "wall_s": %s, "trials_per_s": %s, "peak_worker_rss_mb": %s, "worker_cpu_s": %s}\n' \
@@ -92,10 +72,9 @@ fi
 # drifts from biasing either arm. Wall time is parsed from the
 # coordinator summary line.
 if [ -n "$journalexp" ]; then
-	[ -x "$tmp.labrunner" ] || go build -o "$tmp.labrunner" ./cmd/labrunner
 	echo "==> labrunner -exp $journalexp -quick -shards 2 (warmup)" >&2
 	# shellcheck disable=SC2086 — shardextra is intentionally re-split
-	"$tmp.labrunner" -exp "$journalexp" -quick -shards 2 $shardextra >/dev/null
+	"$tmp/labrunner" -exp "$journalexp" -quick -shards 2 $shardextra >/dev/null
 	rep=1
 	while [ "$rep" -le 5 ]; do
 		if [ $((rep % 2)) -eq 1 ]; then
@@ -104,82 +83,36 @@ if [ -n "$journalexp" ]; then
 			order="journal plain"
 		fi
 		for mode in $order; do
-			rm -f "$tmp.journal"
+			rm -f "$tmp/journal"
 			if [ "$mode" = journal ]; then
-				set -- -journal "$tmp.journal"
+				set -- -journal "$tmp/journal"
 			else
 				set --
 			fi
 			echo "==> labrunner -exp $journalexp -quick -shards 2 ($mode, rep $rep)" >&2
 			# shellcheck disable=SC2086 — shardextra is intentionally re-split
-			"$tmp.labrunner" -exp "$journalexp" -quick -shards 2 $shardextra "$@" |
+			"$tmp/labrunner" -exp "$journalexp" -quick -shards 2 $shardextra "$@" |
 				sed -nE "s|^\(([0-9]+) shards: ([0-9]+) jobs, ([0-9]+) trials in ([0-9.]+)s = .*\$|$mode \4|p" >>"$journaltmp"
 		done
 		rep=$((rep + 1))
 	done
 fi
 
-# Fleet SLO probe: a mixed clean/guarded/attacked session population with
-# lightly staggered admissions, run at every session count × worker count
-# in the -f/-w grid. The headline is sessions/core — how many concurrent
-# 1 kHz sessions the engine sustains in real time per core it burns — plus
-# the worker-tick latency distribution against the 1 ms budget and peak
-# RSS. Session digests are worker-count-invariant (pinned by the fleet
-# equivalence tests), so the grid varies only throughput, never outcomes.
-fleetmix="none:off,B:mitigate,A:holdsafe"
-if [ -n "$fleetsizes" ]; then
-	go build -o "$tmp.ravend" ./cmd/ravend
-	for n in $fleetsizes; do
-		for wk in $fleetworkers; do
-			echo "==> ravend -fleet $n -workers $wk -mix $fleetmix -teleop 1" >&2
-			"$tmp.ravend" -fleet "$n" -workers "$wk" -mix "$fleetmix" -teleop 1 \
-				-value 20000 -delay 150 -duration 64 -stagger 2 -seed 1000 >"$tmp.fleet"
-			awk -v sessions="$n" -v workers="$wk" '
-				/^session ticks:/ { ticks = $3; wall = $5; tps = $8; sub(/\(/, "", tps) }
-				/^sessions\/core:/ { spc = $2 }
-				/^worker tick:/ { p50 = $4; p99 = $7; max = $10; over = $15 }
-				/^peak RSS:/ { rss = $3 }
-				/^outcomes:/ {
-					split($2, a, "="); alarms = a[2]
-					split($4, e, "="); estops = e[2]
-				}
-				END {
-					printf "{\"sessions\": %s, \"workers\": %s, \"session_ticks\": %s, \"wall_s\": %s, \"ticks_per_s\": %s, \"sessions_per_core\": %s, \"tick_p50_ms\": %s, \"tick_p99_ms\": %s, \"tick_max_ms\": %s, \"ticks_over_1ms_budget\": %s, \"peak_rss_mb\": %s, \"alarms\": %s, \"estops\": %s}\n",
-						sessions, workers, ticks, wall, tps, spc, p50, p99, max, over, rss, alarms, estops
-				}' "$tmp.fleet" >>"$fleettmp"
-		done
-	done
-fi
-
 awk -v goversion="$(go version | awk '{print $3}')" \
-	-v count="$count" -v benchtime="$benchtime" \
 	-v shardfile="$shardtmp" -v shardexp="$shardexp" \
-	-v journalfile="$journaltmp" -v journalexp="$journalexp" \
-	-v fleetfile="$fleettmp" -v fleetmix="$fleetmix" -v fleetsizes="$fleetsizes" '
-/^Benchmark/ {
-	name = $1; iters = $2
-	metrics = ""
-	for (i = 3; i + 1 <= NF; i += 2) {
-		if (metrics != "") metrics = metrics ", "
-		metrics = metrics "\"" $(i + 1) "\": " $i
-	}
-	entries[n++] = sprintf("    {\"name\": \"%s\", \"iters\": %s, \"metrics\": {%s}}",
-		name, iters, metrics)
-}
-END {
+	-v journalfile="$journaltmp" -v journalexp="$journalexp" '
+BEGIN {
 	printf "{\n"
-	printf "  \"go\": \"%s\",\n", goversion
-	printf "  \"count\": %s,\n", count
-	printf "  \"benchtime\": \"%s\",\n", benchtime
+	printf "  \"go\": \"%s\"", goversion
 	nshard = 0
 	while ((getline line < shardfile) > 0) shardrows[nshard++] = line
 	if (nshard > 0) {
-		printf "  \"shard_scaling\": {\n"
+		printf ",\n  \"shard_scaling\": {\n"
 		printf "    \"campaign\": \"%s\",\n", shardexp
 		printf "    \"runs\": [\n"
 		for (i = 0; i < nshard; i++)
 			printf "      %s%s\n", shardrows[i], (i < nshard - 1 ? "," : "")
-		printf "    ]\n  },\n"
+		printf "    ]\n  }"
 	}
 	while ((getline line < journalfile) > 0) {
 		split(line, f, " ")
@@ -187,25 +120,12 @@ END {
 		sawjournal = 1
 	}
 	if (sawjournal) {
-		printf "  \"journal_overhead\": {\n"
+		printf ",\n  \"journal_overhead\": {\n"
 		printf "    \"campaign\": \"%s\",\n", journalexp
 		printf "    \"plain_wall_s\": %s,\n", best["plain"]
 		printf "    \"journal_wall_s\": %s,\n", best["journal"]
 		printf "    \"overhead_pct\": %.1f\n", (best["journal"] - best["plain"]) / best["plain"] * 100
-		printf "  },\n"
+		printf "  }"
 	}
-	nfleet = 0
-	while ((getline line < fleetfile) > 0) fleetrows[nfleet++] = line
-	if (nfleet > 0) {
-		printf "  \"fleet_slo\": {\n"
-		printf "    \"mix\": \"%s\",\n", fleetmix
-		printf "    \"teleop_seconds\": 1,\n"
-		printf "    \"runs\": [\n"
-		for (i = 0; i < nfleet; i++)
-			printf "      %s%s\n", fleetrows[i], (i < nfleet - 1 ? "," : "")
-		printf "    ]\n  },\n"
-	}
-	printf "  \"benchmarks\": [\n"
-	for (i = 0; i < n; i++) printf "%s%s\n", entries[i], (i < n - 1 ? "," : "")
-	printf "  ]\n}\n"
-}' "$tmp" >"${out:-/dev/stdout}"
+	printf "\n}\n"
+}' >"${out:-/dev/stdout}"

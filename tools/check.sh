@@ -79,8 +79,8 @@ go test -run '^$' -bench . -benchtime 1x -timeout 900s ./...
 # Fuzz smoke: each native fuzz target at a trust boundary explores beyond
 # its seed corpus for a few seconds (plain go test above runs only the
 # seeds). The targets: the ITP datagram decoder, the USB command and
-# feedback codecs, the thresholds loader, the two shard flag parsers, and
-# the shard frame-stream and journal readers.
+# feedback codecs, the thresholds loader, the teleop recording reader, the
+# -chaos plan parser, and the shard frame-stream and journal readers.
 # go test -fuzz takes one target per invocation.
 stage="fuzz smoke"
 echo "==> fuzz smoke (8 targets, 5 s each)"
@@ -89,29 +89,33 @@ fuzz internal/itp FuzzDecode
 fuzz internal/usb FuzzDecodeCommand
 fuzz internal/usb FuzzDecodeFeedback
 fuzz internal/core FuzzReadThresholds
-fuzz internal/shard FuzzParseSpec
+fuzz internal/record FuzzRead
 fuzz internal/shard FuzzParseChaosPlan
 fuzz internal/shard FuzzReadFrames
 fuzz internal/shard FuzzLoadJournal
 
-# Shard-equivalence smoke: the multi-process scale-out path (worker
-# frames on stdout, by-hand merge) must render the quick fault campaign
-# byte-identically to the in-process runner. This exercises the labrunner
-# CLI plumbing end to end — the library-level identity is pinned per
-# campaign by the shard_equivalence tests.
+# Shard-equivalence smoke: the supervised scale-out path (a -shards 2
+# coordinator dispatching chunks to the -serve workers it spawns) must
+# render the quick fault campaign and the quick mitigation sweep
+# byte-identically to the in-process runner. Both paths size a campaign
+# through the same function, and this is the CLI-level check of that; the
+# library-level identity is pinned per campaign by the shard_equivalence
+# tests. Blank lines are dropped on both sides: the in-process run ends
+# its block with one after the took line.
 stage="shard-equivalence smoke"
-echo "==> labrunner shard-equivalence smoke (quick faultcampaign, 2 shards)"
+echo "==> labrunner shard-equivalence smoke (quick faultcampaign and mitigation, -shards 2)"
 sharddir=$(mktemp -d)
 go build -o "$sharddir/labrunner" ./cmd/labrunner
-"$sharddir/labrunner" -exp faultcampaign -quick -shard 0/2 >"$sharddir/s0.jsonl"
-"$sharddir/labrunner" -exp faultcampaign -quick -shard 1/2 >"$sharddir/s1.jsonl"
-"$sharddir/labrunner" -exp faultcampaign -quick -merge "$sharddir/s1.jsonl,$sharddir/s0.jsonl" >"$sharddir/merged.txt"
-"$sharddir/labrunner" -exp faultcampaign -quick |
-	sed -e '/^====/d' -e '/took .*s)$/d' -e '/^$/d' >"$sharddir/inproc.txt"
-diff "$sharddir/merged.txt" "$sharddir/inproc.txt" || {
-	echo "sharded faultcampaign output diverged from the in-process run" >&2
-	exit 1
-}
+for exp in faultcampaign mitigation; do
+	"$sharddir/labrunner" -exp "$exp" -quick -shards 2 |
+		sed -e '/^([0-9]* shards:/d' -e '/^$/d' >"$sharddir/sharded.txt"
+	"$sharddir/labrunner" -exp "$exp" -quick |
+		sed -e '/^====/d' -e '/took .*s)$/d' -e '/^$/d' >"$sharddir/inproc.txt"
+	diff "$sharddir/sharded.txt" "$sharddir/inproc.txt" || {
+		echo "sharded $exp output diverged from the in-process run" >&2
+		exit 1
+	}
+done
 
 # Labrunner golden: every experiment's quick run at seed 1, with exactly
 # its timing fields stripped (tools/golden.sh), must print the checked-in
